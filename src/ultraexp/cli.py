@@ -10,9 +10,7 @@ Exit codes (total classification, also in the README):
   65  malformed input data (unparseable expressions, configs, or files;
       domain errors such as numfn F 1)
 
-Every subcommand accepts --cap, --budget-nodes, --budget-secs, --threads
-and --json.  --threads is accepted for interface stability; the engines
-run sequentially and results never depend on it.
+Every subcommand accepts --cap, --budget-nodes, --budget-secs and --json.
 """
 
 from __future__ import annotations
@@ -144,13 +142,17 @@ def _coloring_obj(c: prsearch.Coloring) -> dict:
 # subcommands
 
 
+def _trace_rows(trace) -> list[dict]:
+    # each step's before is the previous after (replay_trace checks it), so
+    # every snapshot is formatted once
+    texts = [format_expr(s.before) for s in trace[:1]] + [format_expr(s.after) for s in trace]
+    return [{"rule": s.rule, "before": b, "after": a} for s, b, a in zip(trace, texts, texts[1:])]
+
+
 def _cmd_normalize(args) -> int:
     e = parse_expr(args.expr)
     nf, trace = rewrite.normalize_with_trace(e, cap=args.cap)
-    tr = [
-        {"rule": s.rule, "before": format_expr(s.before), "after": format_expr(s.after)}
-        for s in trace
-    ]
+    tr = _trace_rows(trace)
     if args.trace_json and not args.as_json:
         print(json.dumps(tr))
         return EX_OK
@@ -171,20 +173,15 @@ def _cmd_prove(args) -> int:
     match verdict:
         case rewrite.Equal(trace=trace):
             tr = [
-                {
-                    "side": s.side,
-                    "rule": s.rule,
-                    "before": format_expr(s.before),
-                    "after": format_expr(s.after),
-                }
-                for s in trace
+                {"side": side, **row}
+                for side in ("left", "right")
+                for row in _trace_rows([s for s in trace if s.side == side])
             ]
             if args.trace_json and not args.as_json:
                 print(json.dumps(tr))
                 return EX_OK
-            lines = ["equal"] + [
-                f"  [{s.side}] {s.rule}: {format_expr(s.before)} -> {format_expr(s.after)}"
-                for s in trace
+            lines = [] if args.as_json else ["equal"] + [
+                f"  [{r['side']}] {r['rule']}: {r['before']} -> {r['after']}" for r in tr
             ]
             _emit(args, "\n".join(lines), {"verdict": "equal", "trace": tr})
             return EX_OK
@@ -380,7 +377,6 @@ def _build_parser() -> _ArgParser:
     common.add_argument("--cap", type=_intarg, default=DEFAULT_CAP, help="value ceiling (default 2^64; 1e18 accepted)")
     common.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
     common.add_argument("--budget-secs", type=float, default=None, help="search time budget")
-    common.add_argument("--threads", type=int, default=1, help="accepted for interface stability; runs sequentially")
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable output")
 
     p = _ArgParser(prog="ultraexp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -458,7 +454,7 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (CapExceeded, rewrite.RuleLimitExceeded) as e:
+    except (CapExceeded, rewrite.RuleLimitExceeded, RecursionError) as e:
         print(f"ultraexp: {e}", file=sys.stderr)
         return EX_INCONCLUSIVE
     except ParseError as e:

@@ -14,8 +14,9 @@ where ``Exp1(n, m) = n**m`` and ``Exp2(n, m) = m**n``.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import numth
 
@@ -79,20 +80,14 @@ class AttrSet:
             object.__setattr__(self, "vdw_witness", True)
 
     def __bool__(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
+        return self != EMPTY_ATTRS
 
     def names(self) -> tuple[str, ...]:
-        return tuple(
-            _ATTR_SHORT[f.name] for f in fields(self) if getattr(self, f.name)
-        )
+        # _ATTR_SHORT lists the fields in declaration order
+        return tuple(s for f, s in _ATTR_SHORT.items() if getattr(self, f))
 
     def union(self, other: "AttrSet") -> "AttrSet":
-        return AttrSet(
-            **{
-                f.name: getattr(self, f.name) or getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
+        return AttrSet(**{f: getattr(self, f) or getattr(other, f) for f in _ATTR_SHORT})
 
 
 EMPTY_ATTRS = AttrSet()
@@ -108,7 +103,7 @@ class _Expr:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nat(_Expr):
     value: int
 
@@ -117,31 +112,31 @@ class Nat(_Expr):
             raise ValueError("naturals start at 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(_Expr):
     name: str
     attrs: AttrSet = EMPTY_ATTRS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(_Expr):
     left: "UExpr"
     right: "UExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(_Expr):
     left: "UExpr"
     right: "UExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exp1(_Expr):
     base: "UExpr"
     exp: "UExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exp2(_Expr):
     first: "UExpr"
     second: "UExpr"
@@ -165,13 +160,55 @@ class LiftFn:
             raise ValueError(f"{self.kind} takes no base")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lift(_Expr):
     fn: LiftFn
     arg: "UExpr"
 
 
 UExpr = Nat | Var | Sum | Prod | Exp1 | Exp2 | Lift
+
+
+# ---------------------------------------------------------------------------
+# children and rebuilding: the one place that knows each node's children
+
+def _children(e: UExpr) -> tuple[UExpr, ...]:
+    # type tests rather than a match: this runs on every node visit
+    t = type(e)
+    if t is Sum or t is Prod:
+        return (e.left, e.right)
+    if t is Exp1:
+        return (e.base, e.exp)
+    if t is Exp2:
+        return (e.first, e.second)
+    if t is Lift:
+        return (e.arg,)
+    return ()
+
+
+def _with_children(e: UExpr, cs) -> UExpr:
+    """e with its children replaced by cs; e itself when nothing changed."""
+    if all(map(operator.is_, _children(e), cs)):
+        return e
+    if type(e) is Lift:
+        return Lift(e.fn, *cs)
+    return type(e)(*cs)
+
+
+def _same(a: UExpr, b: UExpr) -> bool:
+    """Structural equality over an explicit stack; the dataclass ``==``
+    recurses about three interpreter frames per tree level."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        ys = _children(y)
+        # x rebuilt on y's children compares only the fields that are no child
+        if type(x) is not type(y) or _with_children(x, ys) != y:
+            return False
+        todo.extend(zip(_children(x), ys))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -402,42 +439,19 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # attribute unification: one declaration binds every occurrence of the name
 
-def _merge_var_attrs(e: UExpr, table: dict[str, AttrSet]) -> None:
-    match e:
-        case Var(name=n, attrs=a):
-            table[n] = table[n].union(a) if n in table else a
-        case Sum(left=l, right=r) | Prod(left=l, right=r):
-            _merge_var_attrs(l, table)
-            _merge_var_attrs(r, table)
-        case Exp1(base=l, exp=r) | Exp2(first=l, second=r):
-            _merge_var_attrs(l, table)
-            _merge_var_attrs(r, table)
-        case Lift(arg=a):
-            _merge_var_attrs(a, table)
-
-
-def _apply_var_attrs(e: UExpr, table: dict[str, AttrSet]) -> UExpr:
-    match e:
-        case Var(name=n, attrs=a):
-            return e if table[n] == a else Var(n, table[n])
-        case Sum(left=l, right=r):
-            return Sum(_apply_var_attrs(l, table), _apply_var_attrs(r, table))
-        case Prod(left=l, right=r):
-            return Prod(_apply_var_attrs(l, table), _apply_var_attrs(r, table))
-        case Exp1(base=l, exp=r):
-            return Exp1(_apply_var_attrs(l, table), _apply_var_attrs(r, table))
-        case Exp2(first=l, second=r):
-            return Exp2(_apply_var_attrs(l, table), _apply_var_attrs(r, table))
-        case Lift(fn=fn, arg=a):
-            return Lift(fn, _apply_var_attrs(a, table))
-    return e
-
-
 def _unify_attrs(*trees: UExpr) -> tuple[UExpr, ...]:
     table: dict[str, AttrSet] = {}
     for t in trees:
-        _merge_var_attrs(t, table)
-    return tuple(_apply_var_attrs(t, table) for t in trees)
+        for n in subexprs(t):
+            if isinstance(n, Var):
+                table[n.name] = table.get(n.name, EMPTY_ATTRS).union(n.attrs)
+
+    def apply(e: UExpr) -> UExpr:
+        if isinstance(e, Var):
+            return e if table[e.name] == e.attrs else Var(e.name, table[e.name])
+        return _with_children(e, tuple(map(apply, _children(e))))
+
+    return tuple(map(apply, trees))
 
 
 def parse_expr(text: str) -> UExpr:
@@ -605,16 +619,11 @@ def attrs_of(e: UExpr) -> AttrSet:
 
 def subexprs(e: UExpr):
     """Yield e and all its subtrees, parents first."""
-    yield e
-    match e:
-        case Sum(left=l, right=r) | Prod(left=l, right=r):
-            yield from subexprs(l)
-            yield from subexprs(r)
-        case Exp1(base=l, exp=r) | Exp2(first=l, second=r):
-            yield from subexprs(l)
-            yield from subexprs(r)
-        case Lift(arg=a):
-            yield from subexprs(a)
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(_children(node)))
 
 
 __all__ = [

@@ -117,15 +117,15 @@ def largest_prime_power(n: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    # floor k-th root; float seed corrected by at most a couple of steps
+    # floor k-th root: integer Newton steps down from 2**ceil(bits/k) >= root
     if n < 2 or k == 1:
         return n
-    x = int(round(n ** (1.0 / k)))
-    while x > 1 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def perfect_power(n: int) -> tuple[int, int] | None:

@@ -25,6 +25,7 @@ from .expr import (
     _byte_offset,
     _Parser,
     format_expr,
+    subexprs,
 )
 
 __all__ = [
@@ -85,18 +86,12 @@ _TERM_NODES = (Nat, Var, Sum, Prod, Exp1)
 
 
 def _term_vars(t: UExpr, out: list[str]) -> None:
-    match t:
-        case Var(name=n):
-            if n not in out:
-                out.append(n)
-        case Sum(left=a, right=b) | Prod(left=a, right=b) | Exp1(base=a, exp=b):
-            _term_vars(a, out)
-            _term_vars(b, out)
-        case Nat():
-            pass
-        case _:
+    for n in subexprs(t):
+        if not isinstance(n, _TERM_NODES):
             raise ValueError(f"configuration terms allow only naturals, "
-                             f"variables, +, *, ^; got {t!r}")
+                             f"variables, +, *, ^; got {n!r}")
+        if isinstance(n, Var) and n.name not in out:
+            out.append(n.name)
 
 
 @dataclass(frozen=True)
@@ -599,10 +594,10 @@ def min_forced_n(
             if budget.max_seconds is None
             else budget.max_seconds - (time.monotonic() - start)
         )
-        if (remaining_nodes is not None and remaining_nodes <= 0) or (
-            remaining_secs is not None and remaining_secs <= 0
-        ):
+        if remaining_nodes is not None and remaining_nodes <= 0:
             return Budget(total, time.monotonic() - start, "nodes")
+        if remaining_secs is not None and remaining_secs <= 0:
+            return Budget(total, time.monotonic() - start, "time")
         out, nodes = _search(
             cfg, k, lo, n, SearchBudget(remaining_nodes, remaining_secs)
         )

@@ -32,7 +32,10 @@ from .expr import (
     UExpr,
     Var,
     _checked_pow,
+    _children,
     _eval_lift,
+    _same,
+    _with_children,
     attrs_of,
     subexprs,
 )
@@ -245,10 +248,6 @@ def _peval(e: UExpr, cap: int) -> int | None:
     return None  # Var
 
 
-def _count_exp1(e: UExpr) -> int:
-    return sum(isinstance(n, Exp1) for n in subexprs(e))
-
-
 def measure(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int, int, int]:
     """(Exp2 nodes; reducible-base weight over Exp1 nodes; Lift nodes;
     foldable nodes; scalars waiting on the right; tree size).
@@ -264,7 +263,7 @@ def measure(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int, int, 
             case Exp2():
                 exp2 += 1
             case Exp1(base=b, exp=x):
-                bad1 += _count_exp1(b)
+                bad1 += sum(isinstance(n, Exp1) for n in subexprs(b))
                 if not isinstance(x, Nat):
                     v = _peval(b, cap)
                     if v is not None and numth.perfect_power(v) is not None:
@@ -291,61 +290,59 @@ class TraceStep:
     after: UExpr
 
 
-def _step(e: UExpr, cap: int) -> tuple[UExpr, str] | None:
-    # post-order, leftmost: children are fully normal before a node is tried
-    match e:
-        case Sum(left=l, right=r):
-            if s := _step(l, cap):
-                return Sum(s[0], r), s[1]
-            if s := _step(r, cap):
-                return Sum(l, s[0]), s[1]
-        case Prod(left=l, right=r):
-            if s := _step(l, cap):
-                return Prod(s[0], r), s[1]
-            if s := _step(r, cap):
-                return Prod(l, s[0]), s[1]
-        case Exp1(base=l, exp=r):
-            if s := _step(l, cap):
-                return Exp1(s[0], r), s[1]
-            if s := _step(r, cap):
-                return Exp1(l, s[0]), s[1]
-        case Exp2(first=l, second=r):
-            if s := _step(l, cap):
-                return Exp2(s[0], r), s[1]
-            if s := _step(r, cap):
-                return Exp2(l, s[0]), s[1]
-        case Lift(fn=fn, arg=a):
-            if s := _step(a, cap):
-                return Lift(fn, s[0]), s[1]
-    for rid, fn in CATALOG:
-        out = fn(e, cap)
-        if out is not None:
-            return out, rid
-    return None
-
-
 def normalize_with_trace(
     e: UExpr,
     cap: int = DEFAULT_CAP,
     max_steps: int = MAX_STEPS,
     check_measure: bool = False,
 ) -> tuple[UExpr, tuple[TraceStep, ...]]:
+    """Normal form and firing sequence, in one bottom-up pass.
+
+    Children are normalized left to right, then the catalog is tried at the
+    node, and a replacement is normalized in its place: the post-order,
+    leftmost order of searching again from the root after each firing,
+    without revisiting subtrees already found normal.  Each step's ``before``
+    is the previous ``after``; an ``after`` copies only the root path.
+    """
     steps: list[TraceStep] = []
-    cur = e
+    settled: dict[int, UExpr] = {}  # normal subtrees, held so ids stay unique
+    # [node, its children with the normalized ones first, next child index]
+    # for each node from the root down to the one being normalized
+    path = [[e, [*_children(e)], 0]]
+    whole = e
     while True:
-        s = _step(cur, cap)
-        if s is None:
-            return cur, tuple(steps)
-        nxt, rid = s
-        if check_measure and not measure(nxt, cap) < measure(cur, cap):
-            raise AssertionError(
-                f"measure did not decrease for {rid}: {cur} -> {nxt} "
-                f"({measure(cur, cap)} -> {measure(nxt, cap)})"
-            )
-        steps.append(TraceStep(rid, cur, nxt))
-        if len(steps) > max_steps:
-            raise RuleLimitExceeded(f"more than {max_steps} rewrites from {e}")
-        cur = nxt
+        node, kids, i = path[-1]
+        if id(node) not in settled:
+            if i < len(kids):
+                path.append([kids[i], [*_children(kids[i])], 0])
+                continue
+            node = _with_children(node, kids)
+            for rid, fn in CATALOG:
+                out = fn(node, cap)
+                if out is not None:
+                    break
+            if out is not None:
+                after = out
+                for parent, siblings, j in reversed(path[:-1]):
+                    siblings[j] = after
+                    after = _with_children(parent, siblings)
+                if check_measure and not measure(after, cap) < measure(whole, cap):
+                    raise AssertionError(
+                        f"measure did not decrease for {rid}: {whole} -> {after} "
+                        f"({measure(whole, cap)} -> {measure(after, cap)})"
+                    )
+                steps.append(TraceStep(rid, whole, after))
+                if len(steps) > max_steps:
+                    raise RuleLimitExceeded(f"more than {max_steps} rewrites from {e}")
+                whole = after
+                path[-1] = [out, [*_children(out)], 0]
+                continue
+            settled[id(node)] = node
+        path.pop()
+        if not path:
+            return node, tuple(steps)
+        path[-1][1][path[-1][2]] = node
+        path[-1][2] += 1
 
 
 def normalize(
@@ -369,7 +366,7 @@ def replay_trace(e: UExpr, trace) -> UExpr:
     """Re-apply a recorded trace, checking each snapshot chains exactly."""
     cur = e
     for step in trace:
-        if step.before != cur:
+        if not _same(step.before, cur):
             raise ValueError(f"trace does not chain at rule {step.rule}")
         cur = step.after
     return cur
@@ -417,7 +414,7 @@ Verdict = Equal | NotEqual | Unknown
 def _oracle_noid(a: UExpr, b: UExpr) -> NotEqual | None:
     # no tower collapses onto its own nonprincipal exponent: p^q != q
     match a:
-        case Exp1(base=p, exp=q) if q == b and attrs_of(q).nonprincipal:
+        case Exp1(base=p, exp=q) if _same(q, b) and attrs_of(q).nonprincipal:
             return NotEqual("O-NOID", (("p", str(p)), ("q", str(q))))
     return None
 
@@ -429,13 +426,13 @@ def _oracle_inj_exp(a: UExpr, b: UExpr) -> NotEqual | None:
         case (
             Exp1(base=Nat(value=c), exp=p),
             Exp1(base=Nat(value=d), exp=q),
-        ) if c == d and c >= 2 and p != q:
+        ) if c == d and c >= 2 and not _same(p, q):
             return find_refutation(p, q)
         # p^a vs p^b: distinct scalar exponents on a nonprincipal base differ
         case (
             Exp1(base=p, exp=Nat(value=m)),
             Exp1(base=p2, exp=Nat(value=n)),
-        ) if p == p2 and m != n and m >= 2 and n >= 2 and attrs_of(p).nonprincipal:
+        ) if _same(p, p2) and m != n and m >= 2 and n >= 2 and attrs_of(p).nonprincipal:
             return NotEqual(
                 "O-INJ-EXP", (("p", str(p)), ("a", str(m)), ("b", str(n)))
             )
@@ -451,7 +448,7 @@ def _oracle_neqr(a: UExpr, b: UExpr) -> NotEqual | None:
                 right=Exp1(base=p2, exp=Nat(value=n)),
             ),
             Exp1(base=p3, exp=Nat(value=s)),
-        ) if p1 == p2 and p1 == p3 and m + n == s and attrs_of(p1).nonprincipal:
+        ) if _same(p1, p2) and _same(p1, p3) and m + n == s and attrs_of(p1).nonprincipal:
             return NotEqual(
                 "O-NEQR", (("p", str(p1)), ("a", str(m)), ("b", str(n)))
             )
@@ -472,7 +469,7 @@ def _oracle_mal(a: UExpr, b: UExpr) -> NotEqual | None:
         case Sum(left=u, right=t1), Sum(left=v, right=t2):
             c1, p1 = _scalar_multiple(t1)
             c2, p2 = _scalar_multiple(t2)
-            if p1 == p2 and c1 != c2 and attrs_of(p1).nonprincipal:
+            if _same(p1, p2) and c1 != c2 and attrs_of(p1).nonprincipal:
                 return NotEqual(
                     "O-MAL",
                     (
@@ -523,7 +520,7 @@ def prove_equal(e1: UExpr, e2: UExpr, cap: int = DEFAULT_CAP) -> Verdict:
     oracle's hypotheses are certified), or Unknown."""
     n1, t1 = normalize_with_trace(e1, cap)
     n2, t2 = normalize_with_trace(e2, cap)
-    if n1 == n2:
+    if _same(n1, n2):
         trace = tuple(SidedStep("left", s.rule, s.before, s.after) for s in t1)
         trace += tuple(SidedStep("right", s.rule, s.before, s.after) for s in t2)
         return Equal(trace)

@@ -22,7 +22,7 @@ from ultraexp.cli import (
     load_schema,
     run,
 )
-from ultraexp.expr import format_expr, parse_expr
+from ultraexp.expr import format_expr, parse_equation, parse_expr
 from ultraexp.prsearch import Coloring
 
 SCHUR = "config {x, y, x + y};\n"
@@ -278,6 +278,7 @@ def test_usage_errors(capsys):
         ["numfn", "Q", "5"],
         ["expip-verify", "--set", "interval:1..4", "--xs", "a,b"],
         ["--cap", "100", "eval", "2"],  # globals attach after the subcommand
+        ["eval", "2", "--threads", "1"],  # the no-op flag is gone
     ):
         rc, _, err = invoke(capsys, argv)
         assert rc == EX_USAGE, argv
@@ -320,6 +321,51 @@ def test_cap_flag_scientific(capsys):
     assert (rc, out) == (EX_OK, str(10**18) + "\n")
     rc, out, _ = invoke(capsys, ["eval", "2 ^ 100", "--cap", "2e30"])
     assert (rc, out) == (EX_OK, str(2**100) + "\n")
+
+
+def test_trace_rows_are_the_library_snapshots(capsys):
+    eq = "E2(x, 3) * 2 ^ 5 == 4 ^ 1 * 8 * 3 ^ x"
+    rc, out, _ = invoke(capsys, ["prove", eq, "--trace-json"])
+    assert rc == EX_OK
+    want = rewrite.prove_equal(*parse_equation(eq)).trace
+    assert {s.side for s in want} == {"left", "right"}
+    assert json.loads(out) == [
+        {"side": s.side, "rule": s.rule, "before": format_expr(s.before),
+         "after": format_expr(s.after)}
+        for s in want
+    ]
+
+
+def _chain(n: int, extra: str = "") -> tuple[str, str]:
+    text = " * ".join(f"2 ^ a{i} * 4 ^ b{i}" for i in range(n))
+    closed = "2 ^ (" + " + ".join(f"a{i} + 2 * b{i}" for i in range(n)) + extra + ")"
+    return text, closed
+
+
+def test_deep_chain_prove_is_equal(capsys):
+    # 200 blocks nest 400 products deep, deeper than a comparison of the
+    # normal forms by the recursive dataclass == can go
+    text, closed = _chain(200)
+    rc, out, _ = invoke(capsys, ["prove", f"{text} == {closed}", "--json"])
+    assert rc == EX_OK
+    payload = json.loads(out)
+    assert payload["verdict"] == "equal" and len(payload["trace"]) == 599
+    # unequal normal forms this deep reach the refutation oracles
+    text, closed = _chain(200, extra=" + z")
+    rc, out, _ = invoke(capsys, ["prove", f"{text} == {closed}", "--json"])
+    assert (rc, json.loads(out)) == (EX_INCONCLUSIVE, {"verdict": "unknown"})
+
+
+def test_too_deep_nesting_is_inconclusive(capsys):
+    rc, out, err = invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300])
+    assert (rc, out) == (EX_INCONCLUSIVE, "")
+    assert err.startswith("ultraexp: maximum recursion depth exceeded")
+
+
+def test_literal_past_float_range(capsys):
+    # 7**400 has 339 digits, beyond any float
+    rc, out, _ = invoke(capsys, ["normalize", f"{7**400} ^ x"])
+    assert (rc, out) == (EX_OK, "7 ^ (400 * x)\n")
 
 
 # ---------------------------------------------------------------------------

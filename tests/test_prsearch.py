@@ -309,6 +309,15 @@ def test_budget_nodes():
     assert out.nodes >= 1 and out.elapsed >= 0.0
 
 
+def test_min_forced_budget_names_the_clock():
+    # the time budget runs out before the first N is searched
+    out = min_forced_n(parse_config(SCHUR), 2, 1, 10, SearchBudget(max_seconds=0.0))
+    assert isinstance(out, Budget) and out.reason == "time"
+    assert out.nodes == 0
+    out = min_forced_n(parse_config(SCHUR), 2, 1, 10, SearchBudget(max_nodes=0))
+    assert isinstance(out, Budget) and out.reason == "nodes"
+
+
 def test_budget_time():
     # this search needs ~3*10^4 nodes, so the periodic clock check trips
     out = find_avoiding_coloring(
