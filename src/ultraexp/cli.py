@@ -10,7 +10,10 @@ Exit codes (total classification, also in the README):
   65  malformed input data (unparseable expressions, configs, or files;
       domain errors such as numfn F 1)
 
-Every subcommand accepts --cap, --budget-nodes, --budget-secs and --json.
+Every subcommand accepts --json.  --cap (value ceiling) is taken by normalize,
+prove, eval, logpre, expip-find and expip-verify.  pr-min and pr-avoid take
+--budget-nodes (DFS nodes only) and --budget-secs (wall time, instance
+enumeration included).
 """
 
 from __future__ import annotations
@@ -374,45 +377,47 @@ def _cmd_expip_verify(args) -> int:
 
 def _build_parser() -> _ArgParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=_intarg, default=DEFAULT_CAP, help="value ceiling (default 2^64; 1e18 accepted)")
-    common.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
-    common.add_argument("--budget-secs", type=float, default=None, help="search time budget")
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable output")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=_intarg, default=DEFAULT_CAP, help="value ceiling (default 2^64; 1e18 accepted)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-nodes", type=int, default=None, help="search node budget (DFS nodes only)")
+    budget.add_argument("--budget-secs", type=float, default=None, help="time budget, instance enumeration included")
 
     p = _ArgParser(prog="ultraexp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
+    def add(name, fn, *parents, **kw):
+        sp = sub.add_parser(name, parents=[common, *parents], **kw)
         sp.set_defaults(func=fn)
         return sp
 
-    sp = add("normalize", _cmd_normalize, help="rewrite an expression to normal form")
+    sp = add("normalize", _cmd_normalize, cap, help="rewrite an expression to normal form")
     sp.add_argument("expr")
     sp.add_argument("--trace-json", action="store_true", help="emit the rule firings as a JSON array")
 
-    sp = add("prove", _cmd_prove, help="decide 'lhs == rhs' by normalization or refutation")
+    sp = add("prove", _cmd_prove, cap, help="decide 'lhs == rhs' by normalization or refutation")
     sp.add_argument("equation", help='e.g. "2^p * 2^q == 2^(p+q)"')
     sp.add_argument("--trace-json", action="store_true", help="emit the rule firings as a JSON array")
 
-    sp = add("eval", _cmd_eval, help="evaluate a variable-free expression exactly")
+    sp = add("eval", _cmd_eval, cap, help="evaluate a variable-free expression exactly")
     sp.add_argument("expr")
 
     sp = add("numfn", _cmd_numfn, help="largest-prime F, big-Omega, exponent G, head H")
     sp.add_argument("fn", choices=sorted(_NUMFN))
     sp.add_argument("n", type=int)
 
-    sp = add("logpre", _cmd_logpre, help="{n >= 1 : base^n in set}")
+    sp = add("logpre", _cmd_logpre, cap, help="{n >= 1 : base^n in set}")
     sp.add_argument("--base", type=int, required=True)
     sp.add_argument("--set", required=True, help="JSON array file, interval:a..b, or powers:b")
 
-    sp = add("pr-min", _cmd_pr_min, help="scan N for the first forced [lo..N]")
+    sp = add("pr-min", _cmd_pr_min, budget, help="scan N for the first forced [lo..N]")
     sp.add_argument("--config", required=True, help="config DSL file")
     sp.add_argument("-k", type=int, required=True, help="number of colors")
     sp.add_argument("--lo", type=int, default=1)
     sp.add_argument("--max", type=int, required=True, help="largest N to try")
 
-    sp = add("pr-avoid", _cmd_pr_avoid, help="search for an avoiding coloring of [lo..hi]")
+    sp = add("pr-avoid", _cmd_pr_avoid, budget, help="search for an avoiding coloring of [lo..hi]")
     sp.add_argument("--config", required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--lo", type=int, default=1)
@@ -435,11 +440,11 @@ def _build_parser() -> _ArgParser:
     sp.add_argument("--base", type=int, required=True)
     sp.add_argument("--out", help="write the transformed coloring JSON here")
 
-    sp = add("expip-find", _cmd_expip_find, help="search for an exponential-IP witness sequence")
+    sp = add("expip-find", _cmd_expip_find, cap, help="search for an exponential-IP witness sequence")
     sp.add_argument("--set", required=True)
     sp.add_argument("--depth", type=int, required=True)
 
-    sp = add("expip-verify", _cmd_expip_verify, help="verify a candidate witness sequence")
+    sp = add("expip-verify", _cmd_expip_verify, cap, help="verify a candidate witness sequence")
     sp.add_argument("--set", required=True)
     sp.add_argument("--xs", type=_xs_list, required=True, help="comma-separated, e.g. 2,2,2")
 

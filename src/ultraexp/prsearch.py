@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .expr import (
     Exp1,
@@ -50,10 +51,6 @@ __all__ = [
     "min_forced_n",
     "parse_config",
 ]
-
-
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +128,19 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        if {type(self.lo), type(self.hi), type(self.k)} != {int}:
+            raise ValueError("lo, hi and k must be integers")
         if not (1 <= self.lo <= self.hi):
             raise ValueError("need 1 <= lo <= hi")
         if self.k < 1:
             raise ValueError("need k >= 1")
         if len(self.colors) != self.hi - self.lo + 1:
             raise ValueError("assignment length must be hi - lo + 1")
-        if any(not (0 <= c < self.k) for c in self.colors):
+        # no Python-level loop: colorings run to tens of thousands of points
+        if set(map(type, self.colors)) != {int}:
+            raise ValueError("color indices must be integers")
+        used = set(self.colors)
+        if min(used) < 0 or max(used) >= self.k:
             raise ValueError("color indices must lie in [0..k-1]")
 
     def color_of(self, n: int) -> int:
@@ -153,6 +156,8 @@ class Coloring:
     @classmethod
     def from_json(cls, text: str) -> "Coloring":
         d = json.loads(text)
+        if not isinstance(d, dict) or not isinstance(d.get("colors"), list):
+            raise ValueError('a coloring is a JSON object with a "colors" list')
         return cls(d["lo"], d["hi"], d["k"], tuple(d["colors"]))
 
 
@@ -301,130 +306,134 @@ def format_config(cfg: ConfigTemplate) -> str:
 # ---------------------------------------------------------------------------
 # instance enumeration
 
-class _Query:
-    """Precomputed tables for one (cfg, lo, hi) enumeration."""
-
-    def __init__(self, cfg: ConfigTemplate, lo: int, hi: int):
-        if not (1 <= lo <= hi):
-            raise ValueError("need 1 <= lo <= hi")
-        self.lo, self.hi, self.sat = lo, hi, hi + 1
-        self.bits = hi.bit_length()
-        self.vars = cfg.variables
-        self.terms = cfg.terms
-        index = {v: i for i, v in enumerate(cfg.variables)}
-        n = len(cfg.variables)
-        self.mins = [lo] * n
-        self.distinct: list[list[int]] = [[] for _ in range(n)]
-        self.log2_lower: list[list[int]] = [[] for _ in range(n)]  # x's for var=y
-        self.log2_upper: list[list[int]] = [[] for _ in range(n)]  # y's for var=x
-        for c in cfg.constraints:
-            match c:
-                case MinBound(var=v, low=m):
-                    i = index[v]
-                    self.mins[i] = max(self.mins[i], m)
-                case Distinct(names=ns):
-                    for a in ns:
-                        for b in ns:
-                            if a != b:
-                                self.distinct[index[a]].append(index[b])
-                case Log2Le(x=x, y=y):
-                    self.log2_lower[index[y]].append(index[x])
-                    self.log2_upper[index[x]].append(index[y])
-        vs: list[list[str]] = []
-        for t in cfg.terms:
-            out: list[str] = []
-            _term_vars(t, out)
-            vs.append(out)
-        self.term_vars = [tuple(index[v] for v in out) for out in vs]
+class _OutOfTime(Exception):
+    """The caller's clock ran out during enumeration."""
 
 
-def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None):
-    """Depth-first lexicographic enumeration, optionally restricted to
-    instances monochromatic under ``coloring`` (pruned, same order)."""
-    q = _Query(cfg, lo, hi)
-    n = len(q.vars)
-    val = list(q.mins)  # unassigned slots sit at their minimum: a live lower bound
-    assigned = [False] * n
-    # resolve Var lookups once: eval_sat uses index() otherwise
-    var_index = {v: i for i, v in enumerate(q.vars)}
+def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
+               deadline: float | None = None):
+    """Depth-first lexicographic enumeration, variables assigned in
+    declaration order, optionally restricted to instances monochromatic
+    under ``coloring`` (pruned, same order).
 
-    def ev(t: UExpr) -> int:
+    Each constraint is checked when the later of its variables is assigned,
+    and each term once its last variable is; ``log2_le(x, x)`` always holds
+    and is skipped.  Unassigned variables sit at their minimum, a live lower
+    bound, and a term past hi cuts the branch: terms are monotone in every
+    variable.  Every 1024 candidates the clock is read against
+    ``deadline`` (time.monotonic), raising _OutOfTime once it has passed.
+    """
+    if not (1 <= lo <= hi):
+        raise ValueError("need 1 <= lo <= hi")
+    sat, bits = hi + 1, hi.bit_length()
+    names = cfg.variables
+    index = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    mins = [lo] * n
+    unlike: list[list[int]] = [[] for _ in range(n)]   # distinct, assigned earlier
+    log_lo: list[list[int]] = [[] for _ in range(n)]   # x earlier, log2_le(x, d)
+    log_hi: list[list[int]] = [[] for _ in range(n)]   # y earlier, log2_le(d, y)
+    for c in cfg.constraints:
+        match c:
+            case MinBound(var=v, low=m):
+                mins[index[v]] = max(mins[index[v]], m)
+            case Distinct(names=ns):
+                for a in ns:
+                    unlike[index[a]] += [index[b] for b in ns if index[b] < index[a]]
+            case Log2Le(x=x, y=y):
+                if index[x] < index[y]:
+                    log_lo[index[y]].append(index[x])
+                elif index[y] < index[x]:
+                    log_hi[index[x]].append(index[y])
+
+    def compile_term(t: UExpr):
+        # a closure over the value array; values past hi read as sat
         match t:
             case Var(name=nm):
-                return val[var_index[nm]]
+                return itemgetter(index[nm])
             case Nat(value=v):
-                return min(v, q.sat)
+                v = min(v, sat)
+                return lambda val: v
             case Sum(left=a, right=b):
-                return min(ev(a) + ev(b), q.sat)
+                fa, fb = compile_term(a), compile_term(b)
+                return lambda val: min(fa(val) + fb(val), sat)
             case Prod(left=a, right=b):
-                return min(ev(a) * ev(b), q.sat)
+                fa, fb = compile_term(a), compile_term(b)
+                return lambda val: min(fa(val) * fb(val), sat)
             case Exp1(base=a, exp=b):
-                x = ev(a)
-                if x == 1:
-                    return 1
-                if x >= q.sat:
-                    return q.sat
-                y = ev(b)
-                if y == 1:
-                    return x
-                if (x.bit_length() - 1) * y >= q.bits + 1:
-                    return q.sat
-                return min(x**y, q.sat)
+                fa, fb = compile_term(a), compile_term(b)
+
+                def power(val):
+                    x = fa(val)
+                    if x == 1:
+                        return 1
+                    if x >= sat:
+                        return sat
+                    y = fb(val)
+                    if y == 1:
+                        return x
+                    if (x.bit_length() - 1) * y >= bits + 1:
+                        return sat
+                    return min(x**y, sat)
+
+                return power
         raise ValueError(f"not a configuration term: {t!r}")
 
-    def dfs(d: int):
-        if d == n:
-            vals = tuple(ev(t) for t in cfg.terms)
-            yield Instance(
-                tuple(zip(q.vars, val)),
-                vals,
-            )
-            return
-        lower = q.mins[d]
-        for xi in q.log2_lower[d]:
-            if assigned[xi]:
-                lower = max(lower, _ceil_log2(val[xi]))
-        upper = hi
-        for yi in q.log2_upper[d]:
-            if assigned[yi]:
-                b = val[yi]
-                if b < q.bits:
-                    upper = min(upper, 1 << b)
-        assigned[d] = True
-        v = lower
-        while v <= upper:
-            val[d] = v
-            if any(assigned[o] and val[o] == v for o in q.distinct[d]):
-                v += 1
-                continue
-            stop = skip = False
-            need = -1
-            for j, t in enumerate(cfg.terms):
-                x = ev(t)
-                if x > hi:
-                    # terms are monotone in every variable: no larger v helps
-                    stop = True
-                    break
-                if all(assigned[i] for i in q.term_vars[j]):
-                    if x < lo:
-                        skip = True
-                        break
-                    if coloring is not None:
-                        c = coloring.colors[x - lo]
-                        if need == -1:
-                            need = c
-                        elif c != need:
-                            skip = True
-                            break
-            if stop:
-                break
-            if not skip:
-                yield from dfs(d + 1)
-            v += 1
-        assigned[d] = False
-        val[d] = q.mins[d]
+    val = list(mins)
+    tv = [0] * len(cfg.terms)  # term values, each set when its term completes
+    colors = None if coloring is None else coloring.colors
+    # watch[d]: (j, term) for the terms holding variable d, j = -1 while the
+    # term still has a later variable; a constant term completes at d = 0
+    watch: list[list] = [[] for _ in range(n)]
+    for j, t in enumerate(cfg.terms):
+        vs: list[str] = []
+        _term_vars(t, vs)
+        ids = {index[v] for v in vs} or {0}
+        f = compile_term(t)
+        for i in ids:
+            watch[i].append((j if i == max(ids) else -1, f))
+    last = n - 1
+    tick = 0
 
-    yield from dfs(0)
+    def dfs(d: int, need: int):
+        nonlocal tick
+        # ceil(log2(x)) <= v for x in log_lo[d], ceil(log2(v)) <= y for y in log_hi[d]
+        lower = max([mins[d], *((val[i] - 1).bit_length() for i in log_lo[d])])
+        upper = min([hi, *(1 << min(val[i], bits) for i in log_hi[d])])
+        taken = {val[i] for i in unlike[d]}
+        for v in range(lower, upper + 1):
+            tick += 1
+            if not tick & 1023 and deadline is not None and time.monotonic() > deadline:
+                raise _OutOfTime
+            if v in taken:
+                continue
+            val[d] = v
+            c = need
+            for j, f in watch[d]:
+                x = f(val)
+                if x > hi:
+                    break
+                if j < 0:
+                    continue
+                tv[j] = x
+                if x < lo:
+                    break
+                if colors is not None:
+                    if c == -1:
+                        c = colors[x - lo]
+                    elif colors[x - lo] != c:
+                        break
+            else:
+                if d == last:
+                    yield Instance(tuple(zip(names, val)), tuple(tv))
+                else:
+                    yield from dfs(d + 1, c)
+                continue
+            if x > hi:
+                break  # terms are monotone: no larger v helps
+        val[d] = mins[d]
+
+    yield from dfs(0, -1)
 
 
 def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]:
@@ -443,25 +452,28 @@ def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
 # backtracking search
 
 def _search(
-    cfg: ConfigTemplate, k: int, lo: int, hi: int, budget: SearchBudget | None
+    cfg: ConfigTemplate, k: int, lo: int, hi: int, budget: SearchBudget,
+    start: float, nodes: int = 0,
 ) -> tuple[SearchOutcome, int]:
+    """One search whose budget counts from ``start`` (time.monotonic) and
+    from ``nodes`` DFS nodes already spent; returns the total node count."""
     if k < 1:
         raise ValueError("need k >= 1")
-    budget = budget or SearchBudget()
-    start = time.monotonic()
+    max_nodes = budget.max_nodes
+    deadline = None if budget.max_seconds is None else start + budget.max_seconds
 
-    seen: set[tuple[int, ...]] = set()
-    insts: list[tuple[int, ...]] = []  # deduplicated sorted value tuples
-    for inst in _instances(cfg, lo, hi, None):
-        key = tuple(sorted(set(inst.term_values)))
-        if key not in seen:
-            seen.add(key)
-            insts.append(key)
+    try:  # distinct sorted value tuples, in first-seen order
+        insts = list(dict.fromkeys(
+            tuple(sorted(set(inst.term_values)))
+            for inst in _instances(cfg, lo, hi, None, deadline)
+        ))
+    except _OutOfTime:
+        return Budget(nodes, time.monotonic() - start, "time"), nodes
 
     values = sorted({v for key in insts for v in key})
     if not insts:
         witness = Coloring(lo, hi, k, (0,) * (hi - lo + 1))
-        return Avoidable(witness), 0
+        return Avoidable(witness), nodes
     pos_of = {v: i for i, v in enumerate(values)}
     npos = len(values)
     inst_pos = [tuple(pos_of[v] for v in key) for key in insts]
@@ -517,9 +529,6 @@ def _search(
                 left[idx] += 1
         assignment[pi] = -1
 
-    nodes = 0
-    max_nodes = budget.max_nodes
-    max_seconds = budget.max_seconds
     stack: list[tuple[list, int, int]] = []  # (trail, color, previous max color)
     max_color = -1
     d, c = 0, 0
@@ -531,8 +540,8 @@ def _search(
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     return Budget(nodes, time.monotonic() - start, "nodes"), nodes
-                if max_seconds is not None and nodes % 1024 == 0:
-                    if time.monotonic() - start > max_seconds:
+                if deadline is not None and nodes % 1024 == 0:
+                    if time.monotonic() > deadline:
                         return Budget(nodes, time.monotonic() - start, "time"), nodes
                 trail: list = []
                 if apply(d, c, trail):
@@ -569,8 +578,9 @@ def find_avoiding_coloring(
     """Exhaustive backtracking over the positions that occur in instances
     (ascending), colors capped at one above the maximum used so far (global
     color-permutation symmetry).  Positions in no instance take color 0 in
-    the witness."""
-    return _search(cfg, k, lo, hi, budget)[0]
+    the witness.  The time budget covers the instance enumeration too; the
+    node budget counts DFS nodes only."""
+    return _search(cfg, k, lo, hi, budget or SearchBudget(), time.monotonic())[0]
 
 
 def min_forced_n(
@@ -580,38 +590,26 @@ def min_forced_n(
     n_max: int,
     budget: SearchBudget | None = None,
 ) -> Boundary | Budget:
-    """Scan N upward from lo; the budget is cumulative across the scan."""
+    """Scan N upward from lo, enumerating and searching [lo..N] afresh for
+    each N; one clock and one DFS node count run across the whole scan."""
     budget = budget or SearchBudget()
     start = time.monotonic()
-    total = 0
+    nodes = 0
     last: tuple[int, Coloring] | None = None
     for n in range(lo, n_max + 1):
-        remaining_nodes = (
-            None if budget.max_nodes is None else budget.max_nodes - total
-        )
-        remaining_secs = (
-            None
-            if budget.max_seconds is None
-            else budget.max_seconds - (time.monotonic() - start)
-        )
-        if remaining_nodes is not None and remaining_nodes <= 0:
-            return Budget(total, time.monotonic() - start, "nodes")
-        if remaining_secs is not None and remaining_secs <= 0:
-            return Budget(total, time.monotonic() - start, "time")
-        out, nodes = _search(
-            cfg, k, lo, n, SearchBudget(remaining_nodes, remaining_secs)
-        )
-        total += nodes
+        if budget.max_nodes is not None and nodes >= budget.max_nodes:
+            return Budget(nodes, time.monotonic() - start, "nodes")
+        if budget.max_seconds is not None and time.monotonic() - start >= budget.max_seconds:
+            return Budget(nodes, time.monotonic() - start, "time")
+        out, nodes = _search(cfg, k, lo, n, budget, start, nodes)
         match out:
             case Avoidable(witness=w):
                 last = (n, w)
             case Forced():
-                if last is None:
-                    return Boundary(None, None, n)
-                return Boundary(last[0], last[1], n)
-            case Budget(reason=r):
-                return Budget(total, time.monotonic() - start, r)
-    return Budget(total, time.monotonic() - start, "n_max")
+                return Boundary(*(last or (None, None)), n)
+            case Budget():
+                return out
+    return Budget(nodes, time.monotonic() - start, "n_max")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -279,6 +280,12 @@ def test_usage_errors(capsys):
         ["expip-verify", "--set", "interval:1..4", "--xs", "a,b"],
         ["--cap", "100", "eval", "2"],  # globals attach after the subcommand
         ["eval", "2", "--threads", "1"],  # the no-op flag is gone
+        # options attach only to the subcommands that read them
+        ["numfn", "F", "12", "--cap", "5"],
+        ["pr-check", "--coloring", "c.json", "--config", "s.cfg", "--cap", "5"],
+        ["pr-cnf", "--config", "s.cfg", "-k", "2", "--hi", "4", "--budget-secs", "1"],
+        ["eval", "2", "--budget-nodes", "10"],
+        ["log-transform", "--coloring", "c.json", "--base", "2", "--budget-secs", "1"],
     ):
         rc, _, err = invoke(capsys, argv)
         assert rc == EX_USAGE, argv
@@ -307,6 +314,45 @@ def test_data_errors(capsys, files):
         rc, _, err = invoke(capsys, argv)
         assert rc == EX_DATA, argv
         assert err.startswith("ultraexp:")
+    # colorings that are valid JSON but not coloring.schema.json
+    for i, text in enumerate((
+        "[0, 1]",
+        '{"lo": 1, "hi": 2, "k": 2, "colors": 5}',
+        '{"lo": "1", "hi": 2, "k": 2, "colors": [0, 0]}',
+        '{"lo": 1, "hi": 2, "k": 2, "colors": ["a", 0]}',
+        '{"lo": 1, "hi": 2, "k": 2, "colors": [0.5, 0]}',
+        '{"lo": 1, "hi": 2, "k": true, "colors": [0, 0]}',
+    )):
+        path = files / f"bad{i}.json"
+        path.write_text(text)
+        for argv in (
+            ["pr-check", "--coloring", str(path), "--config", str(files / "schur.cfg")],
+            ["log-transform", "--coloring", str(path), "--base", "2"],
+        ):
+            rc, _, err = invoke(capsys, argv)
+            assert rc == EX_DATA, (text, argv)
+            assert err.startswith("ultraexp:")
+
+
+def test_budget_secs_covers_enumeration(capsys, files):
+    # enumerating Schur on [1..600], or one N of the nine-distinct scan,
+    # takes longer than the budget
+    (files / "nine.cfg").write_text(
+        "config {a, b, c, d, e, f, g, h, i} where distinct(a, b, c, d, e, f, g, h, i);\n"
+    )
+    for argv in (
+        ["pr-avoid", "--config", str(files / "schur.cfg"), "-k", "2", "--hi", "600",
+         "--budget-secs", "0.3"],
+        ["pr-min", "--config", str(files / "nine.cfg"), "-k", "2", "--max", "16",
+         "--budget-secs", "0.5"],
+    ):
+        start = time.monotonic()
+        rc, out, _ = invoke(capsys, argv + ["--json"])
+        assert time.monotonic() - start < 1.0, argv
+        assert rc == EX_INCONCLUSIVE, argv
+        payload = json.loads(out)
+        assert (payload["outcome"], payload["reason"]) == ("budget", "time"), argv
+        jsonschema.validate(payload, load_schema(SCHEMAS[argv[0]]))
 
 
 def test_overflow_is_inconclusive(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -127,6 +128,14 @@ def test_coloring_validation():
         Coloring(1, 2, 2, (0, 2))
     with pytest.raises(ValueError):
         Coloring(1, 2, 0, (0, 0))
+    for bad in (("1", 2, 2, (0, 0)), (1, 2.0, 2, (0, 0)), (1, 2, True, (0, 0)),
+                (1, 2, 2, (0.5, 0)), (1, 2, 2, (False, 0)), (1, 2, 2, ("a", 0))):
+        with pytest.raises(ValueError):
+            Coloring(*bad)
+    for text in ("[1, 2]", '{"lo": 1, "hi": 2, "k": 2, "colors": 5}',
+                 '{"lo": 1, "hi": 2, "k": 2, "colors": "01"}'):
+        with pytest.raises(ValueError):
+            Coloring.from_json(text)
 
 
 def test_coloring_access_and_json():
@@ -325,6 +334,29 @@ def test_budget_time():
     )
     assert isinstance(out, Budget) and out.reason == "time"
     assert out.nodes == 1024
+
+
+def test_budget_time_covers_enumeration():
+    # enumerating Schur on [1..600] alone takes longer than the budget
+    start = time.monotonic()
+    out = find_avoiding_coloring(
+        parse_config(SCHUR), 2, 1, 600, SearchBudget(max_seconds=0.3)
+    )
+    assert time.monotonic() - start < 1.5
+    assert isinstance(out, Budget) and out.reason == "time"
+    assert out.nodes == 0  # stopped before the DFS began
+
+
+# nine distinct values in one color: 2 colors avoid them up to N = 16, and
+# from N = 8 on each N has at least 8! partial bindings to enumerate
+NINE = "config {a, b, c, d, e, f, g, h, i} where distinct(a, b, c, d, e, f, g, h, i);"
+
+
+def test_min_forced_budget_time_covers_enumeration():
+    start = time.monotonic()
+    out = min_forced_n(parse_config(NINE), 2, 1, 16, SearchBudget(max_seconds=0.5))
+    assert time.monotonic() - start < 1.0
+    assert isinstance(out, Budget) and out.reason == "time"
 
 
 def test_min_forced_budget_cumulative():
