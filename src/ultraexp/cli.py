@@ -19,6 +19,7 @@ enumeration included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -29,6 +30,7 @@ from .expr import (
     DEFAULT_CAP,
     EvalError,
     ParseError,
+    _format_chain,
     eval_principal,
     format_expr,
     parse_equation,
@@ -146,18 +148,17 @@ def _coloring_obj(c: prsearch.Coloring) -> dict:
 
 
 def _trace_rows(trace) -> list[dict]:
-    # each step's before is the previous after (replay_trace checks it), so
-    # every snapshot is formatted once
-    texts = [format_expr(s.before) for s in trace[:1]] + [format_expr(s.after) for s in trace]
+    # each step's before is the previous after (replay_trace checks it), and
+    # each after differs from it along one root path
+    texts = _format_chain([s.before for s in trace[:1]] + [s.after for s in trace])
     return [{"rule": s.rule, "before": b, "after": a} for s, b, a in zip(trace, texts, texts[1:])]
 
 
 def _cmd_normalize(args) -> int:
     e = parse_expr(args.expr)
     nf, trace = rewrite.normalize_with_trace(e, cap=args.cap)
-    tr = _trace_rows(trace)
     if args.trace_json and not args.as_json:
-        print(json.dumps(tr))
+        print(json.dumps(_trace_rows(trace)))
         return EX_OK
     payload = {
         "input": format_expr(e),
@@ -165,7 +166,7 @@ def _cmd_normalize(args) -> int:
         "rules": [s.rule for s in trace],
     }
     if args.trace_json:
-        payload["trace"] = tr
+        payload["trace"] = _trace_rows(trace)
     _emit(args, format_expr(nf), payload)
     return EX_OK
 
@@ -375,6 +376,7 @@ def _cmd_expip_verify(args) -> int:
 # parser assembly
 
 
+@functools.cache  # built on the first run, then reused: parse_args keeps no state
 def _build_parser() -> _ArgParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable output")

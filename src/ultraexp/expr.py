@@ -212,37 +212,151 @@ def _same(a: UExpr, b: UExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing: one layout per node type gives every string and every offset
+
+# the loosest precedence level at which a node prints without parentheses;
+# child levels run from 0 to 3, so the other node types never take them
+_BARE = {Sum: 0, Prod: 1, Exp1: 2}
+
+
+def _layout(e: UExpr) -> tuple[str, str, str, tuple[int, ...]]:
+    """(prefix, separator, suffix, child levels): e's text is the prefix, its
+    children's texts joined by the separator, then the suffix.  A child is
+    parenthesized when its level is above its type's ``_BARE`` level."""
+    t = type(e)
+    if t is Sum:
+        return "", " + ", "", (0, 1)
+    if t is Prod:
+        return "", " * ", "", (1, 2)
+    if t is Exp1:
+        return "", " ^ ", "", (3, 2)
+    if t is Exp2:
+        return "E2(", ", ", ")", (0, 0)
+    if t is Lift:
+        fn = e.fn
+        return f"{fn.kind}(" if fn.base is None else f"{fn.kind}({fn.base}, ", "", ")", (0,)
+    if t is Nat:
+        return str(e.value), "", "", ()
+    if t is Var:
+        return f"{e.name}:{{{','.join(e.attrs.names())}}}" if e.attrs else e.name, "", "", ()
+    raise TypeError(f"not an expression: {e!r}")
+
 
 def format_expr(e: UExpr) -> str:
     """Render with minimal parentheses; ``parse_expr`` inverts this exactly."""
-    return _fmt(e, 0)
+    return _format(e)
 
 
-def _fmt(e: UExpr, level: int) -> str:
-    match e:
-        case Nat(value=v):
-            return str(v)
-        case Var(name=name, attrs=attrs):
-            if attrs:
-                return f"{name}:{{{','.join(attrs.names())}}}"
-            return name
-        case Sum(left=l, right=r):
-            s = f"{_fmt(l, 0)} + {_fmt(r, 1)}"
-            return f"({s})" if level > 0 else s
-        case Prod(left=l, right=r):
-            s = f"{_fmt(l, 1)} * {_fmt(r, 2)}"
-            return f"({s})" if level > 1 else s
-        case Exp1(base=b, exp=x):
-            s = f"{_fmt(b, 3)} ^ {_fmt(x, 2)}"
-            return f"({s})" if level > 2 else s
-        case Exp2(first=f, second=s2):
-            return f"E2({_fmt(f, 0)}, {_fmt(s2, 0)})"
-        case Lift(fn=fn, arg=a):
-            if fn.base is not None:
-                return f"{fn.kind}({fn.base}, {_fmt(a, 0)})"
-            return f"{fn.kind}({_fmt(a, 0)})"
-    raise TypeError(f"not an expression: {e!r}")
+def _format(e: UExpr, memo: dict | None = None) -> str:
+    """e's text without enclosing parentheses, over an explicit stack.
+
+    With a ``memo`` (id -> (text, start, end)), a subtree with an entry is
+    copied from that slice, and each node formatted here gets an entry into
+    the returned text (leaf children are written without one).  The caller
+    keeps the trees behind the entries alive, so ids stay unique.
+    """
+    parts: list[str] = []
+    size = 0
+    spans = []  # (node, start, end) of each inner node formatted here
+    todo: list = [e]  # nodes, strings to write, and (node, start) closing a node
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is str:
+            parts.append(x)
+            size += len(x)
+        elif t is tuple:
+            spans.append((*x, size))
+        elif memo and (hit := memo.get(id(x))) is not None:
+            text, i, j = hit
+            parts.append(text[i:j])
+            size += j - i
+        else:
+            prefix, sep, suffix, levels = _layout(x)
+            if memo is not None:
+                todo.append((x, size))
+            todo.append(suffix)
+            parts.append(prefix)
+            size += len(prefix)
+            kids = _children(x)
+            for k in range(len(kids) - 1, -1, -1):
+                c = kids[k]
+                t = type(c)
+                if t is Nat or t is Var:
+                    todo.append(_layout(c)[0])
+                elif levels[k] > _BARE.get(t, 3):
+                    todo += (")", c, "(")
+                else:
+                    todo.append(c)
+                if k:
+                    todo.append(sep)
+    text = "".join(parts)
+    for x, i, j in spans:
+        memo[id(x)] = (text, i, j)
+    return text
+
+
+def _format_chain(trees: list) -> list[str]:
+    """``format_expr`` of each tree of a rewrite trace, where a tree shares
+    all but one root path with the one before it.
+
+    The first tree is formatted in full.  Each later tree is walked from the
+    root beside its predecessor, down the one child that differs, adding the
+    lengths of the left siblings to the text offset.  At the first node whose
+    type or fields changed, or where more than one child differs, the new
+    subtree is formatted, copying the subtrees formatted before, and spliced
+    over the old span, parentheses included.  The rebuilt nodes above it
+    take the old nodes' lengths plus the change.  ``trees`` keeps every id
+    in the tables alive.
+    """
+    memo: dict = {}
+    lens: dict[int, int] = {}  # text lengths of the nodes on rebuilt paths
+
+    def length(x) -> int:
+        n = lens.get(id(x))
+        if n is None:
+            hit = memo.get(id(x))
+            n = hit[2] - hit[1] if hit else len(_format(x, memo))
+        return n
+
+    if not trees:
+        return []
+    texts = [_format(trees[0], memo)]
+    for old, new in zip(trees, trees[1:]):
+        text = texts[-1]
+        o, n, off, level = old, new, 0, 0
+        path = []  # (old, new) pairs above the splice
+        while o is not n:
+            t = type(o)
+            ok, nk = _children(o), _children(n)
+            k = -1  # the one child that differs; nodes have at most two
+            if t is type(n) and (t is not Lift or o.fn == n.fn):
+                if ok and ok[0] is not nk[0]:
+                    if len(ok) == 1 or ok[1] is nk[1]:
+                        k = 0
+                elif len(ok) == 2:
+                    k = 1
+            if k < 0:
+                was = length(o) + 2 * (level > _BARE.get(t, 3))
+                s = _format(n, memo)
+                if level > _BARE.get(type(n), 3):
+                    s = f"({s})"
+                text = text[:off] + s + text[off + was:]
+                delta = len(s) - was
+                lens.pop(id(o), None)
+                for a, b in path:
+                    m = lens.pop(id(a), None)
+                    lens[id(b)] = (length(a) if m is None else m) + delta
+                break
+            prefix, sep, _, levels = _layout(o)
+            off += (level > _BARE.get(t, 3)) + len(prefix)
+            if k:
+                c = ok[0]
+                off += length(c) + 2 * (levels[0] > _BARE.get(type(c), 3)) + len(sep)
+            path.append((o, n))
+            o, n, level = ok[k], nk[k], levels[k]
+        texts.append(text)
+    return texts
 
 
 # ---------------------------------------------------------------------------

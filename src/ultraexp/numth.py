@@ -16,6 +16,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Below this, plain trial division is faster than rho and always sufficient.
 _TRIAL_LIMIT = 1 << 20
 
+# Products of differences taken per gcd in _pollard_rho.
+_BATCH = 128
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 2**64."""
@@ -42,15 +45,29 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     # n odd composite with no factor <= 1024; returns a nontrivial divisor.
+    # Brent's cycle search, one gcd per _BATCH products of differences; a
+    # batch whose gcd is n is stepped again from its start, one gcd a step.
     c = 1
     while True:
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += _BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(x - ys, n)
         if d != n:
             return d
         c += 1

@@ -100,6 +100,8 @@ class ConfigTemplate:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a configuration needs at least one term")
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variables {self.variables} repeat a name")
         seen: list[str] = []
         for t in self.terms:
             _term_vars(t, seen)
@@ -481,6 +483,8 @@ def _search(
     for ii, pis in enumerate(inst_pos):
         for pi in pis:
             occurs[pi].append(ii)
+    if deadline is not None and time.monotonic() > deadline:
+        return Budget(nodes, time.monotonic() - start, "time"), nodes
 
     m = len(insts)
     need = [-1] * m          # the shared color of assigned members, -1 = none yet

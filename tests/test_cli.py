@@ -12,7 +12,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import ultraexp
-from ultraexp import prsearch, rewrite
+from ultraexp import cli, prsearch, rewrite
 from ultraexp.cli import (
     EX_DATA,
     EX_INCONCLUSIVE,
@@ -295,6 +295,22 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     rc, out, _ = invoke(capsys, ["--help"])
     assert rc == EX_OK and "normalize" in out
+
+
+def test_parser_is_built_once(capsys):
+    # one argparse tree serves every run in the process, and no run's flags
+    # or errors leak into the next
+    parser = cli._build_parser()
+    rc, out, _ = invoke(capsys, ["eval", "2 ^ 3 ^ 2", "--json"])
+    assert rc == EX_OK and json.loads(out) == {"input": "2 ^ 3 ^ 2", "value": 512}
+    rc, _, err = invoke(capsys, ["eval", "2", "--budget-nodes", "10"])
+    assert rc == EX_USAGE and "error" in err
+    rc, out, err = invoke(capsys, ["eval", "2 ^ 3 ^ 2"])
+    assert (rc, out, err) == (EX_OK, "512\n", "")
+    for argv in (["--help"], ["prove", "--help"]):
+        first, second = invoke(capsys, argv), invoke(capsys, argv)
+        assert first == second and first[0] == EX_OK and "usage: ultraexp" in first[1]
+    assert cli._build_parser() is parser
 
 
 def test_data_errors(capsys, files):

@@ -41,6 +41,20 @@ def test_factorize_big_semiprimes():
     ]
 
 
+@pytest.mark.parametrize("p", [1031, 1033, 65537, 2097169, 2642239])
+def test_factorize_prime_powers_past_trial_division(p):
+    # past 2**20 with no factor <= 1024, so rho has to split them
+    assert numth.factorize(p * p) == [(p, 2)]
+    assert numth.factorize(p**3) == [(p, 3)]
+
+
+@pytest.mark.parametrize("ps", [(1031, 1033, 1039), (1031, 1031, 1033), (65537, 2097169, 2097211)])
+def test_factorize_three_primes_past_trial_division(ps):
+    n = math.prod(ps)
+    assert n < 1 << 64
+    assert numth.factorize(n) == sorted((p, ps.count(p)) for p in set(ps))
+
+
 def test_is_prime_small_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))

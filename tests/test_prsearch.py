@@ -2,9 +2,11 @@ import itertools
 import json
 import random
 import time
+import types
 
 import pytest
 
+from ultraexp import prsearch
 from ultraexp.expr import Exp1, Nat, ParseError, Sum, Var, Exp2
 from ultraexp.prsearch import (
     Avoidable,
@@ -112,6 +114,8 @@ def test_config_template_validation():
         ConfigTemplate(("x",), (Var("x"),), (MinBound("z", 2),))
     with pytest.raises(ValueError):
         ConfigTemplate(("x",), (Exp2(Var("x"), Nat(2)),))
+    with pytest.raises(ValueError, match="repeat"):
+        ConfigTemplate(("x", "x"), (Var("x"),))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +331,33 @@ def test_min_forced_budget_names_the_clock():
     assert isinstance(out, Budget) and out.reason == "nodes"
 
 
-def test_budget_time():
-    # this search needs ~3*10^4 nodes, so the periodic clock check trips
+def _clock_passes_after_enumeration(monkeypatch, reads: int) -> None:
+    """prsearch's clock reads 0.0 until its instance enumeration is over and
+    ``reads`` more readings were taken, then 100.0."""
+    real = prsearch._instances
+    done = []
+    left = [reads]
+
+    def instances(*args):
+        yield from real(*args)
+        done.append(True)
+
+    def monotonic():
+        if not done:
+            return 0.0
+        left[0] -= 1
+        return 0.0 if left[0] >= 0 else 100.0
+
+    monkeypatch.setattr(prsearch, "_instances", instances)
+    monkeypatch.setattr(prsearch, "time", types.SimpleNamespace(monotonic=monotonic))
+
+
+def test_budget_time(monkeypatch):
+    # this search needs ~3*10^4 nodes; the deadline passes once the DFS has
+    # begun (after the one reading before it), so the periodic check trips
+    _clock_passes_after_enumeration(monkeypatch, reads=1)
     out = find_avoiding_coloring(
-        parse_config(VDW), 3, 1, 27, SearchBudget(max_seconds=0.0)
+        parse_config(VDW), 3, 1, 27, SearchBudget(max_seconds=1.0)
     )
     assert isinstance(out, Budget) and out.reason == "time"
     assert out.nodes == 1024
@@ -345,6 +372,17 @@ def test_budget_time_covers_enumeration():
     assert time.monotonic() - start < 1.5
     assert isinstance(out, Budget) and out.reason == "time"
     assert out.nodes == 0  # stopped before the DFS began
+
+
+def test_budget_time_checked_before_the_dfs(monkeypatch):
+    out = find_avoiding_coloring(parse_config(VDW), 3, 1, 27, SearchBudget(max_seconds=0.0))
+    assert isinstance(out, Budget) and out.reason == "time"
+    assert out.nodes == 0
+    # the deadline passes while the instance and position tables are built
+    _clock_passes_after_enumeration(monkeypatch, reads=0)
+    out = find_avoiding_coloring(parse_config(SCHUR), 2, 1, 8, SearchBudget(max_seconds=1.0))
+    assert isinstance(out, Budget) and out.reason == "time"
+    assert out.nodes == 0
 
 
 # nine distinct values in one color: 2 colors avoid them up to N = 16, and
