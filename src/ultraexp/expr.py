@@ -14,6 +14,7 @@ where ``Exp1(n, m) = n**m`` and ``Exp2(n, m) = m**n``.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -193,6 +194,35 @@ def _with_children(e: UExpr, cs) -> UExpr:
     if type(e) is Lift:
         return Lift(e.fn, *cs)
     return type(e)(*cs)
+
+
+def _operands(e: UExpr) -> tuple[UExpr, ...]:
+    # the children with an exponentiation's base before its exponent: the
+    # order in which evaluation meets, and reports, the first error
+    return (e.second, e.first) if type(e) is Exp2 else _children(e)
+
+
+def _bottom_up(e: UExpr, step, ctx=None, children=_children):
+    """The result of ``step(node, results, ctx)`` at e, where ``results``
+    holds the step's results at the node's children, in ``children`` order.
+    Post-order over an explicit stack; a shared subtree is folded twice."""
+    done: list = []  # results of the subtrees whose parent is not done yet
+    todo: list = [e]  # nodes to open, and (node, child count) to close
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            x, n = x
+            results = done[-n:]
+            del done[-n:]
+            done.append(step(x, results, ctx))
+            continue
+        kids = children(x)
+        if kids:
+            todo.append((x, len(kids)))
+            todo += reversed(kids)
+        else:
+            done.append(step(x, (), ctx))
+    return done[0]
 
 
 def _same(a: UExpr, b: UExpr) -> bool:
@@ -554,18 +584,21 @@ class _Parser:
 # attribute unification: one declaration binds every occurrence of the name
 
 def _unify_attrs(*trees: UExpr) -> tuple[UExpr, ...]:
-    table: dict[str, AttrSet] = {}
+    decls: dict[str, set[AttrSet]] = {}
     for t in trees:
         for n in subexprs(t):
-            if isinstance(n, Var):
-                table[n.name] = table.get(n.name, EMPTY_ATTRS).union(n.attrs)
+            if type(n) is Var:
+                decls.setdefault(n.name, set()).add(n.attrs)
+    # only the names declared two ways have occurrences to rebuild
+    table = {n: functools.reduce(AttrSet.union, s) for n, s in decls.items() if len(s) > 1}
+    return tuple(_bottom_up(t, _unify_node, table) for t in trees) if table else trees
 
-    def apply(e: UExpr) -> UExpr:
-        if isinstance(e, Var):
-            return e if table[e.name] == e.attrs else Var(e.name, table[e.name])
-        return _with_children(e, tuple(map(apply, _children(e))))
 
-    return tuple(map(apply, trees))
+def _unify_node(e: UExpr, kids, table: dict[str, AttrSet]) -> UExpr:
+    if type(e) is Var:
+        a = table.get(e.name, e.attrs)
+        return e if a == e.attrs else Var(e.name, a)
+    return _with_children(e, kids)
 
 
 def parse_expr(text: str) -> UExpr:
@@ -617,30 +650,32 @@ def _exact_log(base: int, v: int) -> int:
 def eval_principal(e: UExpr, cap: int = DEFAULT_CAP) -> int:
     """Exact integer value of a variable-free tree; every intermediate must
     stay <= cap.  ``Exp1(n, m) = n**m`` and ``Exp2(n, m) = m**n``."""
-    match e:
-        case Nat(value=v):
-            if v > cap:
-                raise CapExceeded(f"{v} exceeds cap {cap}")
-            return v
-        case Var(name=n):
-            raise EvalError(f"expression contains a variable: {n}")
-        case Sum(left=l, right=r):
-            v = eval_principal(l, cap) + eval_principal(r, cap)
-            if v > cap:
-                raise CapExceeded(f"sum {v} exceeds cap {cap}")
-            return v
-        case Prod(left=l, right=r):
-            v = eval_principal(l, cap) * eval_principal(r, cap)
-            if v > cap:
-                raise CapExceeded(f"product {v} exceeds cap {cap}")
-            return v
-        case Exp1(base=b, exp=x):
-            return _checked_pow(eval_principal(b, cap), eval_principal(x, cap), cap)
-        case Exp2(first=f, second=s):
-            return _checked_pow(eval_principal(s, cap), eval_principal(f, cap), cap)
-        case Lift(fn=fn, arg=a):
-            v = eval_principal(a, cap)
-            return _eval_lift(fn, v, cap)
+    return _bottom_up(e, _eval_node, cap, _operands)
+
+
+def _eval_node(e: UExpr, values, cap: int) -> int:
+    # values are the operands' values, an exponentiation's base first
+    t = type(e)
+    if t is Nat:
+        if e.value > cap:
+            raise CapExceeded(f"{e.value} exceeds cap {cap}")
+        return e.value
+    if t is Sum:
+        v = values[0] + values[1]
+        if v > cap:
+            raise CapExceeded(f"sum {v} exceeds cap {cap}")
+        return v
+    if t is Prod:
+        v = values[0] * values[1]
+        if v > cap:
+            raise CapExceeded(f"product {v} exceeds cap {cap}")
+        return v
+    if t is Exp1 or t is Exp2:
+        return _checked_pow(values[0], values[1], cap)
+    if t is Lift:
+        return _eval_lift(e.fn, values[0], cap)
+    if t is Var:
+        raise EvalError(f"expression contains a variable: {e.name}")
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -669,64 +704,39 @@ def _eval_lift(fn: LiftFn, v: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # derived attributes
 
-def _scalar_below_two(e: UExpr) -> bool:
-    return isinstance(e, Nat) and e.value < 2
-
-
-def _never_one(e: UExpr) -> bool:
-    # true when no instantiation of e can be the principal ultrafilter at 1
-    match e:
-        case Nat(value=v):
-            return v >= 2
-        case Var(attrs=a):
-            return a.nonprincipal
-        case Sum():
-            return True  # members are sums of two naturals, hence >= 2
-        case Prod(left=l, right=r):
-            return _never_one(l) or _never_one(r)
-        case Exp1(base=b):
-            return _never_one(b)
-        case Exp2(second=s):
-            return _never_one(s)
-        case Lift(fn=fn):
-            # pow_b lands in powers of b >= 2; F and H take values >= 2
-            return fn.kind in ("pow", "F", "H")
-    return False
-
-
-def _nonprincipal(e: UExpr) -> bool:
-    match e:
-        case Nat():
-            return False
-        case Var(attrs=a):
-            return a.nonprincipal
-        case Sum(left=l, right=r) | Prod(left=l, right=r):
-            return _nonprincipal(l) or _nonprincipal(r)
-        case Exp1(base=b, exp=x):
-            return (_nonprincipal(b) and not _scalar_below_two(x)) or (
-                _nonprincipal(x) and _never_one(b)
-            )
-        case Exp2(first=f, second=s):
-            # second is the base, first the exponent
-            return (_nonprincipal(s) and not _scalar_below_two(f)) or (
-                _nonprincipal(f) and _never_one(s)
-            )
-        case Lift(fn=fn, arg=a):
-            # only the injective lift preserves nonprincipality; the
-            # prime-divisor maps can collapse an infinite set to a point
-            return fn.kind == "pow" and _nonprincipal(a)
-    return False
+def _principality(e: UExpr, pairs, _) -> tuple[bool, bool]:
+    """(never one, nonprincipal) of e from its operands' pairs, an
+    exponentiation's base first.  Never one: no instantiation of e is the
+    principal ultrafilter at 1."""
+    t = type(e)
+    if t is Var:
+        return e.attrs.nonprincipal, e.attrs.nonprincipal
+    if t is Nat:
+        return e.value >= 2, False
+    if t is Sum:
+        return True, pairs[0][1] or pairs[1][1]  # sums of two naturals are >= 2
+    if t is Prod:
+        return pairs[0][0] or pairs[1][0], pairs[0][1] or pairs[1][1]
+    if t is Exp1 or t is Exp2:
+        (never_one, np_base), (_, np_exp) = pairs
+        x = e.exp if t is Exp1 else e.first
+        np_base = np_base and (type(x) is not Nat or x.value >= 2)
+        return never_one, np_base or (np_exp and never_one)
+    if t is Lift:
+        # pow_b lands in powers of b >= 2; F and H take values >= 2.  Only
+        # the injective lift preserves nonprincipality; the prime-divisor
+        # maps can collapse an infinite set to a point
+        kind = e.fn.kind
+        return kind in ("pow", "F", "H"), kind == "pow" and pairs[0][1]
+    return False, False
 
 
 def attrs_of(e: UExpr) -> AttrSet:
     """Flags certified to hold under every instantiation consistent with the
     declared variable attributes.  Only nonprincipality propagates upward."""
-    match e:
-        case Var(attrs=a):
-            return a
-        case Nat():
-            return EMPTY_ATTRS
-    if _nonprincipal(e):
+    if type(e) is Var:
+        return e.attrs
+    if _bottom_up(e, _principality, None, _operands)[1]:
         return AttrSet(nonprincipal=True)
     return EMPTY_ATTRS
 

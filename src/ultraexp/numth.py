@@ -13,8 +13,13 @@ U64 = 1 << 64
 # Witness set proven complete for every n < 3.3e24, so in particular < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Below this, plain trial division is faster than rho and always sufficient.
-_TRIAL_LIMIT = 1 << 20
+# Trial division runs over the primes below _TRIAL_BOUND.  1031**2 > 2**20,
+# so it completes every number below 2**20, and rho only ever sees odd
+# composites with no factor <= 1024.
+_TRIAL_BOUND = 1031
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
 
 # Products of differences taken per gcd in _pollard_rho.
 _BATCH = 128
@@ -88,16 +93,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise ValueError(f"factorize expects 2 <= n < 2**64, got {n}")
     counts: dict[int, int] = {}
     rem = n
-    # Trial division: completes anything < 2**20 and strips small primes so
-    # rho only ever sees odd composites with no small factor.
-    p = 2
-    while p * p <= rem and (rem < _TRIAL_LIMIT or p <= 1024):
+    for p in _SMALL_PRIMES:
+        if p * p > rem:
+            break
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-        p += 1 if p == 2 else 2
     if rem > 1:
-        if p * p > rem:
+        # no prime up to min(sqrt(rem), _TRIAL_BOUND - 1) divides rem, so
+        # below _TRIAL_BOUND**2 it is prime
+        if rem < _TRIAL_BOUND**2:
             counts[rem] = counts.get(rem, 0) + 1
         else:
             _split(rem, counts)

@@ -15,6 +15,7 @@ equalities stay Unknown.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import numth
@@ -30,14 +31,15 @@ from .expr import (
     Prod,
     Sum,
     UExpr,
-    Var,
+    _bottom_up,
     _checked_pow,
     _children,
     _eval_lift,
+    _eval_node,
+    _operands,
     _same,
     _with_children,
     attrs_of,
-    subexprs,
 )
 
 MAX_STEPS = 10_000
@@ -181,71 +183,41 @@ RULE_IDS = tuple(rid for rid, _ in CATALOG)
 # ---------------------------------------------------------------------------
 # termination measure: strictly decreases on every firing, checked in tests
 
-def _foldable_shape(e: UExpr) -> bool:
-    match e:
-        case (
-            Sum(left=Nat(), right=Nat())
-            | Prod(left=Nat(), right=Nat())
-            | Exp1(base=Nat(), exp=Nat())
-            | Exp2(first=Nat(), second=Nat())
-            | Lift(arg=Nat())
-        ):
-            return True
-        case (
-            Exp1(exp=Nat(value=1))
-            | Exp1(base=Nat(value=1))
-            | Prod(left=Nat(value=1))
-            | Prod(right=Nat(value=1))
-        ):
-            return True
-    return False
-
-
 def _peval(e: UExpr, cap: int) -> int | None:
     """Partial evaluation absorbing the unit laws (1*p, p*1, p^1 pass
     through, 1^p is 1 even when p has no value).  Invariant under every
     catalog rule, which is what makes the measure's base test stable while
     scalar subtrees fold.  None means no value (free Var, stuck Lift, or
     past cap)."""
-    match e:
-        case Nat(value=v):
-            return v
-        case Sum(left=a, right=b):
-            x, y = _peval(a, cap), _peval(b, cap)
-            if x is None or y is None:
-                return None
-            return x + y if x + y <= cap else None
-        case Prod(left=a, right=b):
-            x, y = _peval(a, cap), _peval(b, cap)
-            if x == 1:
-                return y
-            if y == 1:
-                return x
-            if x is None or y is None:
-                return None
-            return x * y if x * y <= cap else None
-        case Exp1(base=b, exp=x) | Exp2(first=x, second=b):
-            bv, xv = _peval(b, cap), _peval(x, cap)
-            if bv == 1:
-                return 1
-            if xv == 1:
-                return bv
-            if bv is None or xv is None:
-                return None
-            try:
-                return _checked_pow(bv, xv, cap)
-            except CapExceeded:
-                return None
-        case Lift(fn=fn, arg=a):
-            av = _peval(a, cap)
-            if av is None:
-                return None
-            try:
-                r = _eval_lift(fn, av, cap)
-            except (EvalError, CapExceeded):
-                return None
-            return r if r >= 1 else None
-    return None  # Var
+    return _bottom_up(e, _peval_node, cap, _operands)
+
+
+def _peval_node(e: UExpr, values, cap: int) -> int | None:
+    # values are the operands' values, an exponentiation's base first
+    t = type(e)
+    if t is Nat:
+        return e.value  # a literal keeps its value past the cap
+    if t is Prod:
+        x, y = values
+        if x == 1:
+            return y
+        if y == 1:
+            return x
+    elif t is Exp1 or t is Exp2:
+        b, x = values
+        if b == 1:
+            return 1
+        if x == 1:
+            return b
+    elif not values:
+        return None  # Var
+    if None in values:
+        return None
+    try:
+        # Omega(1) = 0 has no value here
+        return _eval_node(e, values, cap) or None
+    except (EvalError, CapExceeded):
+        return None
 
 
 def measure(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int, int, int]:
@@ -256,28 +228,37 @@ def measure(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int, int, 
     base, plus one when the base has a perfect-power value under _peval and
     the exponent is not yet a literal.
     """
-    exp2 = bad1 = lift = fold = scal = size = 0
-    for node in subexprs(e):
-        size += 1
-        match node:
-            case Exp2():
-                exp2 += 1
-            case Exp1(base=b, exp=x):
-                bad1 += sum(isinstance(n, Exp1) for n in subexprs(b))
-                if not isinstance(x, Nat):
-                    v = _peval(b, cap)
-                    if v is not None and numth.perfect_power(v) is not None:
-                        bad1 += 1
-            case Lift():
-                lift += 1
-        if _foldable_shape(node):
-            fold += 1
-        match node:
-            case Sum(left=l, right=Nat()) if not isinstance(l, Nat):
-                scal += 1
-            case Prod(left=l, right=Nat(value=n)) if n >= 2 and not isinstance(l, Nat):
-                scal += 1
-    return (exp2, bad1, lift, fold, scal, size)
+    return _bottom_up(e, _measure_node, cap, _operands)[0][:6]
+
+
+def _measure_node(e: UExpr, results, cap: int):
+    """(e's six measure components and its Exp1 count, e's _peval value)
+    from the same pairs of its operands, an exponentiation's base first."""
+    if not results:
+        return (0, 0, 0, 0, 0, 1, 0), _peval_node(e, (), cap)  # a leaf
+    t = type(e)
+    kids = _children(e)
+    bad1 = 0
+    if t is Exp1:
+        (counts, v), _ = results
+        bad1 = counts[6] + (
+            type(e.exp) is not Nat and v is not None and numth.perfect_power(v) is not None
+        )
+    # FOLD's shape is an inner node over literals only, FOLD-ONE's a literal 1
+    # under ^ or *
+    fold = all(type(c) is Nat for c in kids) or (
+        (t is Exp1 or t is Prod) and any(type(c) is Nat and c.value == 1 for c in kids)
+    )
+    scal = (
+        (t is Sum or t is Prod)
+        and type(e.left) is not Nat
+        and type(e.right) is Nat
+        and (t is Sum or e.right.value >= 2)
+    )
+    counts = (t is Exp2, bad1, t is Lift, fold, scal, 1, t is Exp1)
+    for c, _ in results:
+        counts = tuple(map(operator.add, counts, c))
+    return counts, _peval_node(e, [v for _, v in results], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +304,12 @@ def normalize_with_trace(
                     break
             if out is not None:
                 after = out
-                for parent, siblings, j in reversed(path[:-1]):
+                # each rebuilt ancestor replaces the node in its entry, so a
+                # node settles as the very object this snapshot holds
+                for entry in reversed(path[:-1]):
+                    parent, siblings, j = entry
                     siblings[j] = after
-                    after = _with_children(parent, siblings)
+                    after = entry[0] = _with_children(parent, siblings)
                 if check_measure and not measure(after, cap) < measure(whole, cap):
                     raise AssertionError(
                         f"measure did not decrease for {rid}: {whole} -> {after} "
@@ -421,13 +405,6 @@ def _oracle_noid(a: UExpr, b: UExpr) -> NotEqual | None:
 
 def _oracle_inj_exp(a: UExpr, b: UExpr) -> NotEqual | None:
     match a, b:
-        # a^p vs a^q: exponentiation with a fixed scalar base is injective,
-        # so the question reduces to p vs q
-        case (
-            Exp1(base=Nat(value=c), exp=p),
-            Exp1(base=Nat(value=d), exp=q),
-        ) if c == d and c >= 2 and not _same(p, q):
-            return find_refutation(p, q)
         # p^a vs p^b: distinct scalar exponents on a nonprincipal base differ
         case (
             Exp1(base=p, exp=Nat(value=m)),
@@ -507,12 +484,22 @@ _ORACLES = (_oracle_noid, _oracle_inj_exp, _oracle_neqr, _oracle_mal, _oracle_hs
 
 def find_refutation(a: UExpr, b: UExpr) -> NotEqual | None:
     """Try every oracle in both orientations on a pair of normal forms."""
-    for fn in _ORACLES:
-        for x, y in ((a, b), (b, a)):
-            v = fn(x, y)
-            if v is not None:
-                return v
-    return None
+    while not (v := _oracle_noid(a, b) or _oracle_noid(b, a)):
+        match a, b:
+            # a^p vs a^q: exponentiation with a fixed scalar base is
+            # injective, so the question reduces to p vs q; no oracle after
+            # O-NOID matches a^p vs a^q
+            case (
+                Exp1(base=Nat(value=c), exp=p),
+                Exp1(base=Nat(value=d), exp=q),
+            ) if c == d and c >= 2 and not _same(p, q):
+                a, b = p, q
+            case _:
+                for fn in _ORACLES[1:]:
+                    if v := fn(a, b) or fn(b, a):
+                        return v
+                return None
+    return v
 
 
 def prove_equal(e1: UExpr, e2: UExpr, cap: int = DEFAULT_CAP) -> Verdict:

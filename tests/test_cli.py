@@ -418,6 +418,16 @@ def test_deep_chain_prove_is_equal(capsys):
     assert (rc, json.loads(out)) == (EX_INCONCLUSIVE, {"verdict": "unknown"})
 
 
+def test_long_flat_sums_answer(capsys):
+    # the parser reads a flat sum with a loop, and nothing after it recurses
+    ones = " + ".join(["1"] * 3000)
+    assert invoke(capsys, ["eval", ones]) == (EX_OK, "3000\n", "")
+    ps = " + ".join(["p"] * 3000)
+    assert invoke(capsys, ["normalize", ps]) == (EX_OK, ps + "\n", "")
+    half = " + ".join(["p"] * 1500)
+    assert invoke(capsys, ["prove", f"{half} == {half}"]) == (EX_OK, "equal\n", "")
+
+
 def test_too_deep_nesting_is_inconclusive(capsys):
     rc, out, err = invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300])
     assert (rc, out) == (EX_INCONCLUSIVE, "")

@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+
+import _walk_oracle as oracle
 
 from ultraexp.expr import (
     AttrSet,
@@ -274,3 +277,62 @@ def test_subexprs_order():
     e = Sum(Nat(1), Prod(Var("x"), Nat(2)))
     got = list(subexprs(e))
     assert got == [e, Nat(1), Prod(Var("x"), Nat(2)), Var("x"), Nat(2)]
+
+
+# ---------------------------------------------------------------------------
+# trees deeper than the recursion limit
+
+def deep_tree(levels: int, leaf, base, lift):
+    """``levels`` nodes above ``leaf``, cycling through Sum, Exp1 (over
+    ``base``), Prod, Exp2 and ``Lift(lift, _)``; each holds the tree below
+    as its left operand, exponent or argument."""
+    e = leaf
+    for i in range(levels):
+        k = i % 5
+        if k == 0:
+            e = Sum(e, Nat(2))
+        elif k == 1:
+            e = Exp1(base, e)
+        elif k == 2:
+            e = Prod(Nat(3), e)
+        elif k == 3:
+            e = Exp2(e, Nat(2))
+        else:
+            e = Lift(lift, e)
+    return e
+
+
+# principal values stay small; a nonprincipal leaf stays visible to the root
+DEEP_TREES = [
+    (Nat(2), Nat(1), LiftFn("Omega")),
+    (Var("p", NP), Nat(2), LiftFn("pow", 2)),
+]
+
+
+def under_raised_limit(fn, *args):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(40_000)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (CapExceeded, EvalError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("leaf, base, lift", DEEP_TREES)
+def test_deep_tree_eval_and_attrs(leaf, base, lift):
+    e = deep_tree(10_000, leaf, base, lift)
+    want = under_raised_limit(
+        lambda: (_outcome(oracle.eval_principal, e), oracle.attrs_of(e))
+    )
+    assert want in (
+        (("value", 3), AttrSet()),
+        (("raised", EvalError, "expression contains a variable: p"), NP),
+    )
+    assert (_outcome(eval_principal, e), attrs_of(e)) == want

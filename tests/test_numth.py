@@ -55,6 +55,36 @@ def test_factorize_three_primes_past_trial_division(ps):
     assert numth.factorize(n) == sorted((p, ps.count(p)) for p in set(ps))
 
 
+def _trial_factorize(n: int) -> list[tuple[int, int]]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    return out + [(n, 1)] * (n > 1)
+
+
+# products around the trial-division table's bound (1021 is the largest
+# prime in it, 1031 and 1033 the next two) and of primes past 2**16, 2**32
+_BOUNDARY_PRIMES = (2, 3, 1021, 1031, 1033, 65537, 4294967311)
+
+
+def test_factorize_matches_plain_trial_division():
+    for n in range(2, 100_000):
+        assert numth.factorize(n) == _trial_factorize(n), n
+    for a in _BOUNDARY_PRIMES:
+        for b in _BOUNDARY_PRIMES:
+            for c in (1, 1021, 1031, 1033):
+                n = a * b * c
+                if 2 <= n < 1 << 64:
+                    assert numth.factorize(n) == _trial_factorize(n), n
+
+
 def test_is_prime_small_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))

@@ -12,6 +12,7 @@ import pytest
 import _rescan
 from ultraexp.expr import (
     AttrSet,
+    CapExceeded,
     Exp1,
     Exp2,
     Lift,
@@ -20,6 +21,8 @@ from ultraexp.expr import (
     Prod,
     Sum,
     Var,
+    _children,
+    _same,
     format_expr,
     parse_expr,
 )
@@ -64,10 +67,10 @@ def _run(engine, e, **kw):
     )
 
 
-def test_random_trees_match_rescanning_engine():
+def _corpus():
+    """3000 seeded random trees, each with the engine options to run it
+    under: caps, small step budgets and measure checks on some."""
     rng = random.Random(20)
-    firings = 0
-    raised = set()
     for i in range(3000):
         e = _rand_tree(rng, rng.randint(2, 5), with_vars=i % 3 != 0, shared=[])
         kw = {"check_measure": i % 4 == 0}
@@ -75,6 +78,13 @@ def test_random_trees_match_rescanning_engine():
             kw["max_steps"] = rng.randint(0, 4)
         if i % 7 == 0:
             kw["cap"] = 1 << 16
+        yield e, kw
+
+
+def test_random_trees_match_rescanning_engine():
+    firings = 0
+    raised = set()
+    for e, kw in _corpus():
         want = _run(_rescan.normalize_with_trace, e, **kw)
         assert _run(normalize_with_trace, e, **kw) == want, format_expr(e)
         if want[0] == "normal":
@@ -83,6 +93,42 @@ def test_random_trees_match_rescanning_engine():
             raised.add(want[1].__name__)
     assert firings > 3000
     assert raised == {"CapExceeded", "RuleLimitExceeded"}
+
+
+def _rebuilt_equal_children(before, after) -> int:
+    """Children on the rewrite path of one step that are new objects equal
+    to the children they replaced.
+
+    The path runs from the root down the one child that differs by
+    identity, and ends where the type or a field changes or where more than
+    one child differs: at the rewritten node.
+    """
+    count = 0
+    o, n = before, after
+    while o is not n and type(o) is type(n) and (type(o) is not Lift or o.fn == n.fn):
+        pairs = [(a, b) for a, b in zip(_children(o), _children(n)) if a is not b]
+        count += sum(_same(a, b) for a, b in pairs)
+        if len(pairs) != 1:
+            break
+        o, n = pairs[0]
+    return count
+
+
+def test_snapshots_share_every_unchanged_subtree():
+    # a settled node is the object the previous snapshot holds, so two
+    # snapshots differ only along the path to the rewritten node
+    firings = 0
+    for e, kw in _corpus():
+        kw.pop("max_steps", None)
+        try:
+            _, trace = normalize_with_trace(e, **kw)
+        except CapExceeded:
+            continue
+        firings += len(trace)
+        assert sum(_rebuilt_equal_children(s.before, s.after) for s in trace) == 0, (
+            format_expr(e)
+        )
+    assert firings > 3000
 
 
 def _chain(n: int) -> str:

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import _walk_oracle as oracle
+from test_expr import DEEP_TREES, deep_tree, under_raised_limit
+
 from ultraexp.expr import (
     AttrSet,
     CapExceeded,
@@ -20,6 +23,7 @@ from ultraexp.expr import (
 )
 from ultraexp.rewrite import (
     CATALOG,
+    _peval,
     Equal,
     NotEqual,
     RULE_IDS,
@@ -392,3 +396,26 @@ def test_catalog_is_complete_and_ordered():
         "SAMEBASE",
     )
     assert len(CATALOG) == 9
+
+
+# ---------------------------------------------------------------------------
+# trees deeper than the recursion limit
+
+@pytest.mark.parametrize("leaf, base, lift", DEEP_TREES)
+def test_deep_tree_peval_and_measure(leaf, base, lift):
+    e = deep_tree(10_000, leaf, base, lift)
+    want = under_raised_limit(lambda: (oracle._peval(e, 1 << 64), oracle.measure(e)))
+    assert want[0] == (3 if type(leaf) is Nat else None)
+    assert (_peval(e, 1 << 64), measure(e)) == want
+
+
+def test_base_nested_tower_measure():
+    # each Exp1 is charged for every Exp1 in its base: quadratic to walk
+    # base by base, one pass as a fold
+    e = Nat(4)
+    for i in range(600):
+        e = Exp1(e, Var("x") if i % 2 else Nat(2))
+    want = under_raised_limit(oracle.measure, e)
+    # 16 = 4 ^ 2 under an exponent x adds one
+    assert want[1] == 599 * 600 // 2 + 1
+    assert measure(e) == want
