@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from importlib import resources
 
@@ -82,6 +83,18 @@ def _intarg(s: str) -> int:
         if not f.is_integer():
             raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
         return int(f)
+
+
+def _secs(s: str) -> float:
+    """Seconds as a float.  NaN is refused: it compares false with every
+    clock reading, so it would switch the time budget off."""
+    try:
+        f = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {s!r}") from None
+    if math.isnan(f):
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {s!r}")
+    return f
 
 
 def _xs_list(s: str) -> tuple[int, ...]:
@@ -384,7 +397,7 @@ def _build_parser() -> _ArgParser:
     cap.add_argument("--cap", type=_intarg, default=DEFAULT_CAP, help="value ceiling (default 2^64; 1e18 accepted)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget-nodes", type=int, default=None, help="search node budget (DFS nodes only)")
-    budget.add_argument("--budget-secs", type=float, default=None, help="time budget, instance enumeration included")
+    budget.add_argument("--budget-secs", type=_secs, default=None, help="time budget, instance enumeration included")
 
     p = _ArgParser(prog="ultraexp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

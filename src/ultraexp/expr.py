@@ -14,6 +14,7 @@ where ``Exp1(n, m) = n**m`` and ``Exp2(n, m) = m**n``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import re
@@ -392,30 +393,24 @@ def _format_chain(trees: list) -> list[str]:
 # ---------------------------------------------------------------------------
 # lexer, shared with the search-configuration parser
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nat" | "ident" | "op" | "eof"
-    text: str
-    pos: int
-
+_Token = collections.namedtuple("_Token", "kind text pos")  # kind: nat, ident, op, eof
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>==|>=|[+*^(){},:;>])"
+    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>==|>=|[+*^(){},:;>])|(?P<bad>.)",
+    re.S,
 )
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {text[i]!r}", _byte_offset(text, i)
+                f"unexpected character {m.group()!r}", _byte_offset(text, m.start())
             )
-        if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), i))
-        i = m.end()
+        if kind != "ws":
+            out.append(_Token(kind, m.group(), m.start()))
     out.append(_Token("eof", "", len(text)))
     return out
 
@@ -424,11 +419,12 @@ def _byte_offset(text: str, charpos: int) -> int:
     return len(text[:charpos].encode("utf-8"))
 
 
-_CALLS = {"E1": 2, "E2": 2, "log": 2, "pow": 2, "Omega": 1, "F": 1, "G": 1, "H": 1}
+_CALL_NAMES = ("E1", "E2", *_LIFT_KINDS)
+_INFIX = {"+": Sum, "*": Prod, "^": Exp1}
 
 
 class _Parser:
-    """Recursive-descent parser over a shared token cursor.
+    """Operator-precedence parser over a shared token cursor.
 
     ``arith_only`` restricts to the configuration-term fragment: naturals,
     plain variables, +, *, ^ and parentheses (no calls, no attribute sets).
@@ -497,52 +493,60 @@ class _Parser:
 
     # grammar --------------------------------------------------------------
     def parse_sum(self) -> UExpr:
-        node = self.parse_prod()
-        while self.eat_op("+"):
-            node = Sum(node, self.parse_prod())
-        return node
+        """One expression, read in one loop over explicit stacks.
 
-    def parse_prod(self) -> UExpr:
-        node = self.parse_pow()
-        while self.eat_op("*"):
-            node = Prod(node, self.parse_pow())
-        return node
+        ``frames`` holds each open parenthesis or call as (None or the
+        constructor of its arguments, E1/E2's first bound at the comma; the
+        enclosing frame's ``pending``).  ``pending`` holds the innermost
+        frame's left operands still waiting for a right one, with their
+        node types."""
+        frames: list = []
+        pending: list = []
+        while True:
+            t = self.peek()
+            call = (not self.arith_only and t.text in _CALL_NAMES
+                    and self.toks[self.i + 1].text == "(")
+            if t.kind == "nat":
+                node = Nat(self.require_nat())
+            elif t.kind == "ident" and not call:
+                self.i += 1
+                attrs = not self.arith_only and self.at_op(":")
+                node = Var(t.text, self._parse_attrs() if attrs else EMPTY_ATTRS)
+            elif call or self.eat_op("("):
+                self.i += 2 * call  # past a call's name and "("
+                frames.append((self._call_head(t.text) if call else None, pending))
+                pending = []
+                continue
+            else:
+                self.fail(("natural number", "identifier", "'('"))
+            while True:  # node is the innermost frame's last operand
+                # reduce what binds at least as tightly as op; ^ groups right
+                op = _INFIX.get(self.peek().text)
+                level = -1 if op is None else _BARE[op] + (op is Exp1)
+                while pending and _BARE[pending[-1][1]] >= level:
+                    left, f = pending.pop()
+                    node = f(left, node)
+                if op is not None:
+                    self.i += 1
+                    pending.append((node, op))
+                    break
+                if not frames:
+                    return node
+                head, outer = frames[-1]
+                if head in (Exp1, Exp2):
+                    self.require_op(",")
+                    frames[-1] = (functools.partial(head, node), outer)
+                    break
+                self.require_op(")")
+                frames.pop()
+                pending = outer
+                if head is not None:
+                    node = head(node)
 
-    def parse_pow(self) -> UExpr:
-        base = self.parse_unary()
-        if self.eat_op("^"):
-            return Exp1(base, self.parse_pow())  # right-associative
-        return base
-
-    def parse_unary(self) -> UExpr:
-        t = self.peek()
-        if t.kind == "nat":
-            return Nat(self.require_nat())
-        if t.kind == "ident":
-            if (
-                not self.arith_only
-                and t.text in _CALLS
-                and self.toks[self.i + 1].kind == "op"
-                and self.toks[self.i + 1].text == "("
-            ):
-                return self._parse_call()
-            self.next()
-            if not self.arith_only and self.at_op(":"):
-                return Var(t.text, self._parse_attrs())
-            return Var(t.text)
-        if self.eat_op("("):
-            node = self.parse_sum()
-            self.require_op(")")
-            return node
-        self.fail(("natural number", "identifier", "'('"))
-
-    def _parse_call(self) -> UExpr:
-        name = self.next().text
-        self.require_op("(")
-        if _CALLS[name] == 1:
-            arg = self.parse_sum()
-            self.require_op(")")
-            return Lift(LiftFn(name), arg)
+    def _call_head(self, name: str):
+        """The constructor of ``name(``'s arguments, past a log/pow base."""
+        if name in ("E1", "E2"):
+            return Exp1 if name == "E1" else Exp2
         if name in ("log", "pow"):
             t = self.peek()
             base = self.require_nat()
@@ -551,14 +555,8 @@ class _Parser:
                     f"{name} base must be >= 2", _byte_offset(self.text, t.pos)
                 )
             self.require_op(",")
-            arg = self.parse_sum()
-            self.require_op(")")
-            return Lift(LiftFn(name, base), arg)
-        a = self.parse_sum()
-        self.require_op(",")
-        b = self.parse_sum()
-        self.require_op(")")
-        return Exp1(a, b) if name == "E1" else Exp2(a, b)
+            return functools.partial(Lift, LiftFn(name, base))
+        return functools.partial(Lift, LiftFn(name))
 
     def _parse_attrs(self) -> AttrSet:
         self.require_op(":")

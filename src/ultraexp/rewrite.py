@@ -291,6 +291,7 @@ def normalize_with_trace(
     # for each node from the root down to the one being normalized
     path = [[e, [*_children(e)], 0]]
     whole = e
+    last = measure(e, cap) if check_measure else None  # measure(whole)
     while True:
         node, kids, i = path[-1]
         if id(node) not in settled:
@@ -310,11 +311,14 @@ def normalize_with_trace(
                     parent, siblings, j = entry
                     siblings[j] = after
                     after = entry[0] = _with_children(parent, siblings)
-                if check_measure and not measure(after, cap) < measure(whole, cap):
-                    raise AssertionError(
-                        f"measure did not decrease for {rid}: {whole} -> {after} "
-                        f"({measure(whole, cap)} -> {measure(after, cap)})"
-                    )
+                if check_measure:
+                    m = measure(after, cap)
+                    if not m < last:
+                        raise AssertionError(
+                            f"measure did not decrease for {rid}: {whole} -> {after} "
+                            f"({last} -> {m})"
+                        )
+                    last = m
                 steps.append(TraceStep(rid, whole, after))
                 if len(steps) > max_steps:
                     raise RuleLimitExceeded(f"more than {max_steps} rewrites from {e}")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
+import test_rewrite
+from test_parse_oracle import _corrupt
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -286,6 +289,9 @@ def test_usage_errors(capsys):
         ["pr-cnf", "--config", "s.cfg", "-k", "2", "--hi", "4", "--budget-secs", "1"],
         ["eval", "2", "--budget-nodes", "10"],
         ["log-transform", "--coloring", "c.json", "--base", "2", "--budget-secs", "1"],
+        # NaN compares false with every clock reading: no budget at all
+        ["pr-avoid", "--config", "s.cfg", "-k", "2", "--hi", "4", "--budget-secs", "nan"],
+        ["pr-min", "--config", "s.cfg", "-k", "2", "--max", "4", "--budget-secs", "NaN"],
     ):
         rc, _, err = invoke(capsys, argv)
         assert rc == EX_USAGE, argv
@@ -428,16 +434,147 @@ def test_long_flat_sums_answer(capsys):
     assert invoke(capsys, ["prove", f"{half} == {half}"]) == (EX_OK, "equal\n", "")
 
 
-def test_too_deep_nesting_is_inconclusive(capsys):
-    rc, out, err = invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300])
+def test_too_deep_nesting_is_inconclusive(capsys, tmp_path):
+    # expressions answer at any depth; a configuration term still compiles
+    # to one nested closure per node, so 1500 nested sums exhaust the stack
+    assert invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300]) == (EX_OK, "1\n", "")
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("config {" + "x + " * 1500 + "x};")
+    rc, out, err = invoke(capsys, ["pr-cnf", "--config", str(cfg), "-k", "2", "--hi", "4"])
     assert (rc, out) == (EX_INCONCLUSIVE, "")
     assert err.startswith("ultraexp: maximum recursion depth exceeded")
+
+
+DEEP = 10**4
+
+
+def _nest(opener: str, leaf: str, closer: str = ")") -> str:
+    return opener * DEEP + leaf + closer * DEEP
+
+
+def test_deep_nesting_answers(capsys):
+    # 10^4 levels, far past the interpreter's recursion limit, in shapes
+    # that fire no rule (a trace copies the root path at every firing)
+    assert invoke(capsys, ["eval", _nest("(", "1")]) == (EX_OK, "1\n", "")
+    assert invoke(capsys, ["prove", _nest("(", "p") + " == p"]) == (EX_OK, "equal\n", "")
+    tower = " ^ ".join(["p"] * DEEP)
+    assert invoke(capsys, ["normalize", tower]) == (EX_OK, tower + "\n", "")
+    assert invoke(capsys, ["eval", _nest("F(", "2")]) == (EX_OK, "2\n", "")
+    assert invoke(capsys, ["eval", _nest("E2(1, ", "2")]) == (EX_OK, "2\n", "")
+    logs = _nest("log(2, ", "p")
+    assert invoke(capsys, ["normalize", logs]) == (EX_OK, logs + "\n", "")
+
+
+def test_deep_unclosed_parenthesis_is_a_parse_error(capsys):
+    rc, out, err = invoke(capsys, ["eval", "(" * DEEP + "1"])
+    assert (rc, out) == (EX_DATA, "")
+    at = f"(at byte {DEEP + 1})"
+    assert err == (
+        f"ultraexp: parse error at byte {DEEP + 1}: "
+        f"syntax error: expected ')', found end of input {at}\n"
+    )
 
 
 def test_literal_past_float_range(capsys):
     # 7**400 has 339 digits, beyond any float
     rc, out, _ = invoke(capsys, ["normalize", f"{7**400} ^ x"])
     assert (rc, out) == (EX_OK, "7 ^ (400 * x)\n")
+
+
+def _fuzz_files(rng, files):
+    """Configuration and coloring files, valid, corrupted and malformed."""
+    cfgs = [SCHUR, "config {x, x + d, x + 2 * d};", "config {x, y, x ^ y} where x > 1, y > 1;",
+            "config {a, b, a * b} where distinct(a, b);", "config {x, y} where log2_le(x, y);",
+            "config {2, x + 1} where x >= 3;", "config {F(x)};", "config {x} where y > 1;"]
+    cfgs += [_corrupt(rng, rng.choice(cfgs)) for _ in range(12)]
+    colorings = ["[0, 1]", "{not json", '{"lo": 1, "hi": 2, "k": 2, "colors": [0.5, 0]}']
+    for _ in range(12):
+        lo = rng.randint(1, 5)
+        hi, k = lo + rng.randint(0, 40), rng.randint(1, 3)
+        text = Coloring(lo, hi, k, tuple(rng.randrange(k) for _ in range(hi - lo + 1))).to_json()
+        colorings.append(_corrupt(rng, text) if rng.random() < 0.3 else text)
+    paths = {"cfg": [], "col": []}
+    for kind, texts in (("cfg", cfgs), ("col", colorings)):
+        for i, text in enumerate(texts):
+            path = files / f"fuzz{i}.{kind}"
+            path.write_text(text)
+            paths[kind].append(str(path))
+    return paths["cfg"], paths["col"]
+
+
+def _fuzz_argv(rng, cfgs, colorings):
+    """One random invocation of a random subcommand."""
+    pick, num = rng.choice, lambda: str(rng.choice((0, 1, 2, 3, 5, 12, 60, 97, -4)))
+
+    def text():
+        r = rng.random()
+        if r < 0.1:  # deep or wide, in shapes that fire no rule
+            return pick((
+                "(" * DEEP + "p" + ")" * DEEP, " ^ ".join(["p"] * 3000),
+                "F(" * 3000 + "p" + ")" * 3000, " + ".join(["p"] * 3000),
+            ))
+        e = format_expr(test_rewrite._rand_tree(rng, rng.randint(0, 3)))
+        return _corrupt(rng, e) if r < 0.4 else e
+
+    def value_text():
+        r = rng.random()
+        if r < 0.25:
+            n, opener = pick((10, 300, 3000)), pick(("(", "F(", "E2(1, ", "log(2, pow(2, "))
+            return opener * n + "3" + ")" * opener.count("(") * n
+        if r < 0.35:
+            return pick((" + ".join(["1"] * 3000), f"{7**473} * 2", f"{7**473} ^ 1"))
+        return text()
+
+    def sets():
+        return pick((f"interval:{num()}..{num()}", f"powers:{num()}", "powers:x",
+                     pick(colorings), "interval:1", "missing.json"))
+
+    def cap():
+        return ["--cap", pick(("1", "100", "1e18", "1e400", "0", "-3", "2.5", "nan", str(10**400)))]
+
+    def search():
+        return ["--config", pick(cfgs), "-k", str(rng.randint(0, 3)), "--budget-secs", "0.2"]
+
+    def hi():
+        return str(rng.randint(-1, 60))
+
+    argv = pick((
+        lambda: ["normalize", text(), *cap()],
+        lambda: ["prove", f"{text()} == {text()}", *cap()],
+        lambda: ["prove", text()],
+        lambda: ["eval", value_text(), *cap()],
+        lambda: ["eval", value_text()],
+        lambda: ["numfn", pick(("F", "G", "H", "Omega", "Q")), pick((num(), str(2**64), "x"))],
+        lambda: ["logpre", "--base", num(), "--set", sets()],
+        lambda: ["pr-min", *search(), "--max", hi(), "--lo", str(rng.randint(0, 4))],
+        lambda: ["pr-avoid", *search(), "--hi", hi(), "--budget-nodes", pick(("1", "50", "100000"))],
+        lambda: ["pr-check", "--coloring", pick(colorings), "--config", pick(cfgs)],
+        lambda: ["pr-cnf", "--config", pick(cfgs), "-k", str(rng.randint(0, 3)), "--hi", hi()],
+        lambda: ["log-transform", "--coloring", pick(colorings), "--base", num()],
+        lambda: ["expip-find", "--set", sets(), "--depth", str(rng.randint(-1, 3)), *cap()],
+        lambda: ["expip-verify", "--set", sets(), "--xs", pick(("2,3", "2,2,2", "a", "1", "4,0"))],
+    ))()
+    if rng.random() < 0.3:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), pick(("--bogus", "--cap", "-k", "--")))
+    return argv
+
+
+def test_fuzzed_invocations_classify(capsys, files):
+    # random, corrupted, deep and wide inputs to every subcommand: each exits
+    # with one of the five codes and no exception escapes run()
+    rng = random.Random(2026)
+    cfgs, colorings = _fuzz_files(rng, files)
+    codes = {}
+    for _ in range(300):
+        argv = _fuzz_argv(rng, cfgs, colorings)
+        rc = run(argv)
+        capsys.readouterr()
+        assert rc in (EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE, EX_USAGE, EX_DATA), argv
+        codes.setdefault(argv[0], set()).add(rc)
+    assert len(codes) == len(SCHEMAS)
+    assert set().union(*codes.values()) == {0, 1, 2, 64, 65}
 
 
 # ---------------------------------------------------------------------------
