@@ -79,7 +79,10 @@ def _intarg(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        f = float(s)
+        try:
+            f = float(s)
+        except ValueError:
+            f = math.nan  # argparse would name this function in its message
         if not f.is_integer():
             raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
         return int(f)
@@ -318,12 +321,8 @@ def _cmd_pr_check(args) -> int:
 def _cmd_pr_cnf(args) -> int:
     cfg = prsearch.parse_config(_read_text(args.config))
     dimacs = prsearch.export_cnf(cfg, args.k, args.lo, args.hi)
-    nvars = nclauses = 0
-    for line in dimacs.splitlines():
-        if line.startswith("p cnf "):
-            _, _, v, c = line.split()
-            nvars, nclauses = int(v), int(c)
-            break
+    _, _, v, c = dimacs.split("\n", 4)[3].split()  # the "p cnf" header line
+    nvars, nclauses = int(v), int(c)
     if args.out:
         _write_text(args.out, dimacs)
         _emit(

@@ -10,10 +10,11 @@ products into sums.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
+import types
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .expr import (
     Exp1,
@@ -24,6 +25,7 @@ from .expr import (
     UExpr,
     Var,
     _byte_offset,
+    _children,
     _Parser,
     format_expr,
     subexprs,
@@ -312,11 +314,53 @@ class _OutOfTime(Exception):
     """The caller's clock ran out during enumeration."""
 
 
+def _power(x: int, y: int, sat: int, bits: int) -> int:
+    """x ^ y saturated at sat = hi + 1, where bits = hi.bit_length()."""
+    if x == 1:
+        return 1
+    if x >= sat:
+        return sat
+    if y == 1:
+        return x
+    if (x.bit_length() - 1) * y >= bits + 1:
+        return sat
+    return min(x**y, sat)
+
+
+_OPS = {Sum: "min(r{} + r{}, sat)", Prod: "min(r{} * r{}, sat)",
+        Exp1: "_power(r{}, r{}, sat, bits)"}
+_compile = functools.lru_cache(maxsize=64)(compile)  # one code object per term shape
+
+
+def _term_function(t: UExpr, index: dict[str, int], sat: int, bits: int):
+    """t as one function of the value array: one assignment per node, children
+    first, so any depth compiles; values past hi read as sat.  The source holds
+    only register numbers, value indices and _OPS, literals come in as globals."""
+    reg: dict[int, int] = {}  # keyed by id(node), so a shared subtree works
+    lits: list[int] = []
+    lines = ["def f(val):"]
+    for node in reversed([*subexprs(t)]):
+        if id(node) in reg:
+            continue
+        if type(node) is Var:
+            rhs = f"val[{index[node.name]}]"
+        elif type(node) is Nat:
+            rhs = f"lit[{len(lits)}]"
+            lits.append(min(node.value, sat))
+        else:
+            rhs = _OPS[type(node)].format(*(reg[id(c)] for c in _children(node)))
+        lines.append(f"    r{len(reg)} = {rhs}")
+        reg[id(node)] = len(reg)
+    lines.append(f"    return r{reg[id(t)]}")
+    env = {"min": min, "_power": _power, "sat": sat, "bits": bits, "lit": tuple(lits)}
+    return types.FunctionType(_compile("\n".join(lines), "<term>", "exec").co_consts[0], env)
+
+
 def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
                deadline: float | None = None):
     """Depth-first lexicographic enumeration, variables assigned in
     declaration order, optionally restricted to instances monochromatic
-    under ``coloring`` (pruned, same order).
+    under ``coloring`` (pruned, same order), as (values, term_values) tuples.
 
     Each constraint is checked when the later of its variables is assigned,
     and each term once its last variable is; ``log2_le(x, x)`` always holds
@@ -328,9 +372,8 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
     sat, bits = hi + 1, hi.bit_length()
-    names = cfg.variables
-    index = {v: i for i, v in enumerate(names)}
-    n = len(names)
+    index = {v: i for i, v in enumerate(cfg.variables)}
+    n = len(index)
     mins = [lo] * n
     unlike: list[list[int]] = [[] for _ in range(n)]   # distinct, assigned earlier
     log_lo: list[list[int]] = [[] for _ in range(n)]   # x earlier, log2_le(x, d)
@@ -348,39 +391,6 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
                 elif index[y] < index[x]:
                     log_hi[index[x]].append(index[y])
 
-    def compile_term(t: UExpr):
-        # a closure over the value array; values past hi read as sat
-        match t:
-            case Var(name=nm):
-                return itemgetter(index[nm])
-            case Nat(value=v):
-                v = min(v, sat)
-                return lambda val: v
-            case Sum(left=a, right=b):
-                fa, fb = compile_term(a), compile_term(b)
-                return lambda val: min(fa(val) + fb(val), sat)
-            case Prod(left=a, right=b):
-                fa, fb = compile_term(a), compile_term(b)
-                return lambda val: min(fa(val) * fb(val), sat)
-            case Exp1(base=a, exp=b):
-                fa, fb = compile_term(a), compile_term(b)
-
-                def power(val):
-                    x = fa(val)
-                    if x == 1:
-                        return 1
-                    if x >= sat:
-                        return sat
-                    y = fb(val)
-                    if y == 1:
-                        return x
-                    if (x.bit_length() - 1) * y >= bits + 1:
-                        return sat
-                    return min(x**y, sat)
-
-                return power
-        raise ValueError(f"not a configuration term: {t!r}")
-
     val = list(mins)
     tv = [0] * len(cfg.terms)  # term values, each set when its term completes
     colors = None if coloring is None else coloring.colors
@@ -391,7 +401,7 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
         vs: list[str] = []
         _term_vars(t, vs)
         ids = {index[v] for v in vs} or {0}
-        f = compile_term(t)
+        f = _term_function(t, index, sat, bits)
         for i in ids:
             watch[i].append((j if i == max(ids) else -1, f))
     last = n - 1
@@ -427,7 +437,7 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
                         break
             else:
                 if d == last:
-                    yield Instance(tuple(zip(names, val)), tuple(tv))
+                    yield tuple(val), tuple(tv)
                 else:
                     yield from dfs(d + 1, c)
                 continue
@@ -442,12 +452,14 @@ def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]
     """All satisfying bindings with every term value in [lo..hi], in
     lexicographic binding order.  Bindings pushing any term past hi are
     skipped (never clamped)."""
-    return list(_instances(cfg, lo, hi, None))
+    return [Instance(tuple(zip(cfg.variables, v)), t) for v, t in _instances(cfg, lo, hi, None)]
 
 
 def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
     """First monochromatic instance in enumeration order, or None."""
-    return next(_instances(cfg, c.lo, c.hi, c), None)
+    for v, t in _instances(cfg, c.lo, c.hi, c):
+        return Instance(tuple(zip(cfg.variables, v)), t)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +478,7 @@ def _search(
 
     try:  # distinct sorted value tuples, in first-seen order
         insts = list(dict.fromkeys(
-            tuple(sorted(set(inst.term_values)))
-            for inst in _instances(cfg, lo, hi, None, deadline)
+            tuple(sorted(set(t))) for _, t in _instances(cfg, lo, hi, None, deadline)
         ))
     except _OutOfTime:
         return Budget(nodes, time.monotonic() - start, "time"), nodes
@@ -623,36 +634,28 @@ def export_cnf(cfg: ConfigTemplate, k: int, lo: int, hi: int) -> str:
     """DIMACS CNF, satisfiable iff an avoiding k-coloring of [lo..hi] exists.
 
     Variable v(n,c) = (n-lo)*k + c + 1.  Per position: one at-least-one
-    clause and pairwise at-most-one clauses.  Per instance and color: one
-    all-different clause over its distinct term values.
+    clause and pairwise at-most-one clauses.  Per enumerated instance
+    (repeats kept) and color: one clause barring its term values that color.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    insts = enumerate_instances(cfg, lo, hi)
     width = hi - lo + 1
-
-    def var(n: int, c: int) -> int:
-        return (n - lo) * k + c + 1
-
-    clauses: list[list[int]] = []
-    for n in range(lo, hi + 1):
-        clauses.append([var(n, c) for c in range(k)])
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                clauses.append([-var(n, c1), -var(n, c2)])
-    for inst in insts:
-        vals = sorted(set(inst.term_values))
-        for c in range(k):
-            clauses.append([-var(v, c) for v in vals])
-
-    lines = [
-        f"c configuration: {format_config(cfg)}",
-        f"c range [{lo}..{hi}], {k} colors, {len(insts)} instances",
-        "c var(n,c) = (n - lo)*k + c + 1  maps position n, color c",
-        f"p cnf {width * k} {len(clauses)}",
-    ]
-    lines.extend(" ".join(map(str, cl)) + " 0" for cl in clauses)
-    return "\n".join(lines) + "\n"
+    lines = []
+    for base in range(1, width * k + 1, k):  # var(n, 0) of each position n
+        lines.append(" ".join(map(str, range(base, base + k))) + " 0")
+        lines.extend(f"-{base + c1} -{base + c2} 0" for c1 in range(k) for c2 in range(c1 + 1, k))
+    count = 0
+    for _, t in _instances(cfg, lo, hi, None):
+        count += 1
+        bases = [(v - lo) * k + 1 for v in sorted(set(t))]
+        lines.extend(" ".join(f"-{b + c}" for b in bases) + " 0" for c in range(k))
+    header = (
+        f"c configuration: {format_config(cfg)}\n"
+        f"c range [{lo}..{hi}], {k} colors, {count} instances\n"
+        "c var(n,c) = (n - lo)*k + c + 1  maps position n, color c\n"
+        f"p cnf {width * k} {width * (1 + k * (k - 1) // 2) + count * k}\n"
+    )
+    return header + "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ MAX_STEPS = 10_000
 
 
 class RuleLimitExceeded(RuntimeError):
-    """Rewrite step budget blown; indicates a termination bug, never expected."""
+    """Step budget blown: a rule loop, or a terminating input needing more firings."""
 
 
 # ---------------------------------------------------------------------------

@@ -292,10 +292,12 @@ def test_usage_errors(capsys):
         # NaN compares false with every clock reading: no budget at all
         ["pr-avoid", "--config", "s.cfg", "-k", "2", "--hi", "4", "--budget-secs", "nan"],
         ["pr-min", "--config", "s.cfg", "-k", "2", "--max", "4", "--budget-secs", "NaN"],
+        ["eval", "2", "--cap", "abc"],
     ):
         rc, _, err = invoke(capsys, argv)
         assert rc == EX_USAGE, argv
         assert "error" in err
+        assert "_intarg" not in err  # argparse names a type function it sees fail
 
 
 def test_help_exits_zero(capsys):
@@ -435,12 +437,17 @@ def test_long_flat_sums_answer(capsys):
 
 
 def test_too_deep_nesting_is_inconclusive(capsys, tmp_path):
-    # expressions answer at any depth; a configuration term still compiles
-    # to one nested closure per node, so 1500 nested sums exhaust the stack
+    # expressions and configuration terms answer at any depth; the search
+    # still recurses once per variable, so 1100 variables exhaust the stack
     assert invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300]) == (EX_OK, "1\n", "")
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("config {" + "x + " * 1500 + "x};")
     rc, out, err = invoke(capsys, ["pr-cnf", "--config", str(cfg), "-k", "2", "--hi", "4"])
+    assert (rc, err) == (EX_OK, "")
+    assert "\nc range [1..4], 2 colors, 0 instances\n" in out
+    assert out.endswith("\np cnf 8 8\n1 2 0\n-1 -2 0\n3 4 0\n-3 -4 0\n5 6 0\n-5 -6 0\n7 8 0\n-7 -8 0\n")
+    cfg.write_text("config {" + ", ".join(f"x{i}" for i in range(1100)) + "};")
+    rc, out, err = invoke(capsys, ["pr-cnf", "--config", str(cfg), "-k", "2", "--hi", "1"])
     assert (rc, out) == (EX_INCONCLUSIVE, "")
     assert err.startswith("ultraexp: maximum recursion depth exceeded")
 

@@ -5,11 +5,19 @@ first monochromatic instance under any coloring.
 """
 
 import random
+import sys
 
 import pytest
 
 import _enum_oracle
-from ultraexp.prsearch import Coloring, check_coloring, enumerate_instances, parse_config
+from ultraexp.expr import Nat, Prod, Sum, Var
+from ultraexp.prsearch import (
+    Coloring,
+    ConfigTemplate,
+    check_coloring,
+    enumerate_instances,
+    parse_config,
+)
 
 CASES = [
     ("config {x, y, x + y};", 1, 40),
@@ -79,3 +87,39 @@ def test_random_configs_match_the_oracle():
         lo = rng.randint(1, 4)
         hi = lo + rng.randint(0, 24)
         _same(parse_config(text), lo, hi, rng, colorings=3)
+
+
+def test_deep_term_matches_the_oracle():
+    # 10^4 nested sums compile to one flat function; the oracle recurses
+    cfg = parse_config("config {x, " + "x + " * 9999 + "x};")
+    col = Coloring(1, 29_999, 2, tuple(n % 2 for n in range(29_999)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(30_000)
+    try:
+        want = list(_enum_oracle._instances(cfg, 1, 29_999, None))
+        first = next(_enum_oracle._instances(cfg, 1, 29_999, col), None)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [i.term_values for i in want] == [(1, 10_000), (2, 20_000)]
+    assert first == want[1]
+    assert enumerate_instances(cfg, 1, 29_999) == want
+    assert check_coloring(col, cfg) == first
+
+
+def test_shared_subtree_matches_the_oracle():
+    s = Sum(Var("x"), Var("y"))
+    cfg = ConfigTemplate(("x", "y"), (Var("x"), Prod(s, s), Sum(s, Nat(2)), Var("y")))
+    _same(cfg, 1, 50, random.Random(11))
+
+
+def test_variable_names_never_reach_the_code():
+    shape = ("config {{{0} + {1} * {2} + {3} ^ {4} + {5} * {6}, {0}, {6} + 1}} "
+             "where distinct({0}, {6}), log2_le({1}, {2});")
+    odd = parse_config(shape.format("val", "sat", "bits", "min", "_power", "r0", "f"))
+    plain = parse_config(shape.format(*"abcdegh"))
+    _same(odd, 1, 10, random.Random(12), colorings=2)
+    got = enumerate_instances(odd, 1, 10)
+    assert len(got) > 100
+    assert [([v for _, v in i.binding], i.term_values) for i in got] == [
+        ([v for _, v in i.binding], i.term_values) for i in enumerate_instances(plain, 1, 10)
+    ]
