@@ -5,7 +5,8 @@ Exit codes (total classification, also in the README):
       found, value computed
   1   negative verdict: not-equal, forced, monochromatic instance found,
       reject, no witness after exhausting candidates
-  2   inconclusive: budget exhausted, unknown verdict, value past the cap
+  2   inconclusive: budget exhausted, unknown verdict, value past the cap,
+      out of memory
   64  usage errors (bad flags or argument syntax)
   65  malformed input data (unparseable expressions, configs, or files;
       domain errors such as numfn F 1)
@@ -475,6 +476,9 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except (CapExceeded, rewrite.RuleLimitExceeded, RecursionError) as e:
         print(f"ultraexp: {e}", file=sys.stderr)
+        return EX_INCONCLUSIVE
+    except MemoryError:  # its message is empty
+        print("ultraexp: out of memory", file=sys.stderr)
         return EX_INCONCLUSIVE
     except ParseError as e:
         print(f"ultraexp: parse error at byte {e.offset}: {e}", file=sys.stderr)

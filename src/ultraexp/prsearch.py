@@ -489,60 +489,45 @@ def _search(
         return Avoidable(witness), nodes
     pos_of = {v: i for i, v in enumerate(values)}
     npos = len(values)
-    inst_pos = [tuple(pos_of[v] for v in key) for key in insts]
-    occurs: list[list[int]] = [[] for _ in range(npos)]
-    for ii, pis in enumerate(inst_pos):
-        for pi in pis:
-            occurs[pi].append(ii)
+    # Positions are colored in ascending order, so an instance's colors are
+    # all known once its second-largest position is: closes[p] holds (the
+    # positions below p, the largest) for the instances whose second-largest
+    # is p, and ((), -1) for a one-position instance at p.
+    closes: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(npos)]
+    for key in insts:
+        pis = [pos_of[v] for v in key]
+        if len(pis) == 1:
+            closes[pis[0]].append(((), -1))
+        else:
+            closes[pis[-2]].append((tuple(pis[:-2]), pis[-1]))
     if deadline is not None and time.monotonic() > deadline:
         return Budget(nodes, time.monotonic() - start, "time"), nodes
 
-    m = len(insts)
-    need = [-1] * m          # the shared color of assigned members, -1 = none yet
-    left = [len(p) for p in inst_pos]
-    live = [True] * m        # False once two colors are present (never mono)
     assignment = [-1] * npos
     forbid = [0] * npos      # bitmask of colors ruled out by nearly-mono instances
     full = (1 << k) - 1
 
     def apply(pi: int, c: int, trail: list) -> bool:
+        """Color pi with c; forbid c at the last open position of each
+        instance pi leaves one short of monochromatic."""
         assignment[pi] = c
-        for ii in occurs[pi]:
-            if not live[ii]:
-                continue
-            r = need[ii]
-            if r != -1 and r != c:
-                trail.append((True, ii, 0))
-                live[ii] = False
-                continue
-            trail.append((False, ii, r))
-            need[ii] = c
-            left[ii] -= 1
-            if left[ii] == 0:
-                return False  # completed monochromatic instance
-            if left[ii] == 1:
-                for pj in inst_pos[ii]:
-                    if assignment[pj] == -1:
-                        old = forbid[pj]
-                        new = old | (1 << c)
-                        if new != old:
-                            trail.append((None, pj, old))
-                            forbid[pj] = new
-                            if new == full:
-                                return False  # wiped out the last open color
-                        break
+        for below, top in closes[pi]:
+            for q in below:
+                if assignment[q] != c:
+                    break
+            else:
+                if top < 0:
+                    return False  # a one-position instance is always mono
+                old = forbid[top]
+                trail.append((top, old))
+                forbid[top] = old | 1 << c
+                if forbid[top] == full:
+                    return False  # wiped out the last open color
         return True
 
-    def undo(pi: int, trail: list) -> None:
-        for kind, idx, prev in reversed(trail):
-            if kind is None:
-                forbid[idx] = prev
-            elif kind:
-                live[idx] = True
-            else:
-                need[idx] = prev
-                left[idx] += 1
-        assignment[pi] = -1
+    def undo(trail: list) -> None:
+        for pi, old in reversed(trail):
+            forbid[pi] = old
 
     stack: list[tuple[list, int, int]] = []  # (trail, color, previous max color)
     max_color = -1
@@ -564,7 +549,7 @@ def _search(
                     max_color = max(max_color, c)
                     descended = True
                     break
-                undo(d, trail)
+                undo(trail)
             c += 1
         if descended:
             d += 1
@@ -579,7 +564,7 @@ def _search(
                 return Forced(nodes), nodes
             d -= 1
             trail, c, max_color = stack.pop()
-            undo(d, trail)
+            undo(trail)
             c += 1
 
 
@@ -592,9 +577,14 @@ def find_avoiding_coloring(
 ) -> SearchOutcome:
     """Exhaustive backtracking over the positions that occur in instances
     (ascending), colors capped at one above the maximum used so far (global
-    color-permutation symmetry).  Positions in no instance take color 0 in
-    the witness.  The time budget covers the instance enumeration too; the
-    node budget counts DFS nodes only."""
+    color-permutation symmetry).  Since positions are colored in ascending
+    order, the one propagation is: once all of an instance's positions but
+    its largest have color c, c is forbidden at the largest.  A node fails
+    when that forbids every color at some position, or when it colors the
+    only position of an instance.  Positions in no instance take color 0 in
+    the witness.
+    The time budget covers the instance enumeration too; the node budget
+    counts DFS nodes only."""
     return _search(cfg, k, lo, hi, budget or SearchBudget(), time.monotonic())[0]
 
 
@@ -607,6 +597,10 @@ def min_forced_n(
 ) -> Boundary | Budget:
     """Scan N upward from lo, enumerating and searching [lo..N] afresh for
     each N; one clock and one DFS node count run across the whole scan."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not (1 <= lo <= n_max):
+        raise ValueError("need 1 <= lo <= n_max")
     budget = budget or SearchBudget()
     start = time.monotonic()
     nodes = 0

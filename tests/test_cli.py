@@ -141,6 +141,23 @@ def test_pr_min_nmax_budget(capsys, files):
     assert out.startswith("inconclusive (n_max) after ")
 
 
+def test_pr_min_range_and_k_validation(capsys, files):
+    # the same exit 65 as pr-avoid with --lo above --hi, before any scan
+    cfg = str(files / "schur.cfg")
+    for argv in (
+        ["pr-min", "--config", cfg, "-k", "2", "--lo", "5", "--max", "3"],
+        ["pr-min", "--config", cfg, "-k", "0", "--lo", "5", "--max", "3", "--json"],
+        ["pr-min", "--config", cfg, "-k", "0", "--lo", "1", "--max", "3"],
+        ["pr-min", "--config", cfg, "-k", "2", "--lo", "0", "--max", "3"],
+        ["pr-avoid", "--config", cfg, "-k", "2", "--lo", "5", "--hi", "3"],
+    ):
+        rc, out, err = invoke(capsys, argv)
+        assert (rc, out) == (EX_DATA, ""), argv
+        assert err.startswith("ultraexp: need "), argv
+    rc, out, _ = invoke(capsys, ["pr-min", "--config", cfg, "-k", "2", "--lo", "3", "--max", "3"])
+    assert (rc, out) == (EX_INCONCLUSIVE, "inconclusive (n_max) after 0 nodes\n")
+
+
 def test_pr_avoid_stdout_witness(capsys, files):
     rc, out, _ = invoke(
         capsys, ["pr-avoid", "--config", str(files / "schur.cfg"), "-k", "2", "--hi", "4"]
@@ -709,3 +726,19 @@ def test_installed_console_script():
     _assert_verdicts([shutil.which("ultraexp")])
     installed = entry_points(group="console_scripts", name="ultraexp")
     assert {ep.value for ep in installed} == {_declared_script("ultraexp")}
+
+
+def test_out_of_memory_is_inconclusive():
+    # a wide interval is materialized, so a capped address space runs out;
+    # MemoryError carries no message, so the CLI names memory itself
+    resource = pytest.importorskip("resource")
+    limit = 128 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["logpre", "--base", "2", "--set", "interval:1..100000000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ultraexp.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-m", "ultraexp", *argv], capture_output=True,
+                       text=True, env=env, preexec_fn=cap_memory)
+    assert (r.returncode, r.stdout, r.stderr) == (EX_INCONCLUSIVE, "", "ultraexp: out of memory\n")

@@ -290,6 +290,17 @@ def test_search_k_validation():
         find_avoiding_coloring(parse_config(SCHUR), 0, 1, 4)
 
 
+def test_min_forced_validation():
+    # the checks find_avoiding_coloring makes, raised before the scan
+    cfg = parse_config(SCHUR)
+    for k, lo, n_max, msg in ((0, 1, 3, "k >= 1"), (0, 5, 3, "k >= 1"),
+                              (2, 5, 3, "1 <= lo"), (2, 0, 3, "1 <= lo"), (2, -2, -1, "1 <= lo")):
+        with pytest.raises(ValueError, match=msg):
+            min_forced_n(cfg, k, lo, n_max)
+    out = min_forced_n(cfg, 2, 3, 3)
+    assert isinstance(out, Budget) and (out.reason, out.nodes) == ("n_max", 0)
+
+
 def test_min_forced_schur_two():
     b = min_forced_n(parse_config(SCHUR), 2, 1, 10)
     assert isinstance(b, Boundary)
