@@ -129,22 +129,25 @@ def find_expip(A: Iterable[int], depth: int, cap: int) -> ExpIPWitness | None:
     members = set(A)
     candidates = sorted(x for x in members if 2 <= x <= cap)
 
-    def extend(prefix: list[int], fp: set[int]) -> list[int] | None:
-        if len(prefix) == depth:
-            return prefix
-        for c in candidates:
-            ok = True
-            for y in fp:
-                t = _tower(c, y, cap)
-                if t is None or t not in members:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            found = extend(prefix + [c], fp | {c} | {p * c for p in fp})
-            if found is not None:
-                return found
-        return None
-
-    found = extend([], set())
-    return ExpIPWitness(tuple(found)) if found is not None else None
+    # depth-first: entry i is candidates[tried[i]], the last entry still being
+    # chosen from tried[-1] + 1 on; fps[i] holds the products of entries < i
+    tried = [-1]
+    fps: list[set[int]] = [set()]
+    while tried:
+        if len(tried) > depth:
+            return ExpIPWitness(tuple(candidates[i] for i in tried[:-1]))
+        fp = fps[-1]
+        i = tried[-1] + 1
+        while i < len(candidates) and not all(
+            _tower(candidates[i], y, cap) in members for y in fp
+        ):
+            i += 1
+        if i < len(candidates):
+            c = candidates[i]
+            tried[-1] = i
+            tried.append(-1)
+            fps.append(fp | {c} | {p * c for p in fp})
+        else:
+            tried.pop()
+            fps.pop()
+    return None

@@ -79,12 +79,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def _split(n: int, counts: dict[int, int]) -> None:
-    if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _split(d, counts)
-    _split(n // d, counts)
+    todo = [n]
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            todo += [m // d, d]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

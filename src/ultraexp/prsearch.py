@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import time
-import types
 from dataclasses import dataclass
 
 from .expr import (
@@ -327,33 +327,11 @@ def _power(x: int, y: int, sat: int, bits: int) -> int:
     return min(x**y, sat)
 
 
-_OPS = {Sum: "min(r{} + r{}, sat)", Prod: "min(r{} * r{}, sat)",
-        Exp1: "_power(r{}, r{}, sat, bits)"}
-_compile = functools.lru_cache(maxsize=64)(compile)  # one code object per term shape
-
-
-def _term_function(t: UExpr, index: dict[str, int], sat: int, bits: int):
-    """t as one function of the value array: one assignment per node, children
-    first, so any depth compiles; values past hi read as sat.  The source holds
-    only register numbers, value indices and _OPS, literals come in as globals."""
-    reg: dict[int, int] = {}  # keyed by id(node), so a shared subtree works
-    lits: list[int] = []
-    lines = ["def f(val):"]
-    for node in reversed([*subexprs(t)]):
-        if id(node) in reg:
-            continue
-        if type(node) is Var:
-            rhs = f"val[{index[node.name]}]"
-        elif type(node) is Nat:
-            rhs = f"lit[{len(lits)}]"
-            lits.append(min(node.value, sat))
-        else:
-            rhs = _OPS[type(node)].format(*(reg[id(c)] for c in _children(node)))
-        lines.append(f"    r{len(reg)} = {rhs}")
-        reg[id(node)] = len(reg)
-    lines.append(f"    return r{reg[id(t)]}")
-    env = {"min": min, "_power": _power, "sat": sat, "bits": bits, "lit": tuple(lits)}
-    return types.FunctionType(_compile("\n".join(lines), "<term>", "exec").co_consts[0], env)
+# Sums go unsaturated: a sum past hi stays past hi, a product or power of it
+# saturates, and every term value is compared with hi before it is used.
+_OPS = {Sum: "{} + {}", Prod: "min({} * {}, sat)", Exp1: "_power({}, {}, sat, bits)"}
+_compile = functools.lru_cache(maxsize=64)(compile)  # one code object per source
+_LOOPS = 16  # loops per generated function: CPython nests at most 20 blocks
 
 
 def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
@@ -362,90 +340,106 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
     declaration order, optionally restricted to instances monochromatic
     under ``coloring`` (pruned, same order), as (values, term_values) tuples.
 
-    Each constraint is checked when the later of its variables is assigned,
-    and each term once its last variable is; ``log2_le(x, x)`` always holds
-    and is skipped.  Unassigned variables sit at their minimum, a live lower
-    bound, and a term past hi cuts the branch: terms are monotone in every
-    variable.  Every 1024 candidates the clock is read against
-    ``deadline`` (time.monotonic), raising _OutOfTime once it has passed.
+    Generated code holds one ``for`` per variable, _LOOPS to a function, each
+    function passing the values so far to the next as one tuple.  A loop
+    runs from its variable's minimum to hi, narrowed by each ``log2_le``
+    with an earlier variable, and skips its earlier ``distinct`` partners'
+    values.  It evaluates each term holding its variable, later variables
+    at their minimum (a live lower bound: terms are monotone).  A term past
+    hi ends the loop; a completed term below lo, or off the color of the
+    first completed term, skips the value.  Every 1024 candidates the clock
+    is read against ``deadline`` (time.monotonic), raising _OutOfTime once
+    it has passed.
     """
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
-    sat, bits = hi + 1, hi.bit_length()
     index = {v: i for i, v in enumerate(cfg.variables)}
     n = len(index)
-    mins = [lo] * n
-    unlike: list[list[int]] = [[] for _ in range(n)]   # distinct, assigned earlier
-    log_lo: list[list[int]] = [[] for _ in range(n)]   # x earlier, log2_le(x, d)
-    log_hi: list[list[int]] = [[] for _ in range(n)]   # y earlier, log2_le(d, y)
+    lit = [lo] * n  # the minimums, then the literals: the source holds indices
+    lows = [[f"lit[{d}]"] for d in range(n)]
+    highs = [["hi"] for _ in range(n)]
+    unlike: list[list[str]] = [[] for _ in range(n)]
     for c in cfg.constraints:
         match c:
             case MinBound(var=v, low=m):
-                mins[index[v]] = max(mins[index[v]], m)
+                lit[index[v]] = max(lit[index[v]], m)
             case Distinct(names=ns):
                 for a in ns:
-                    unlike[index[a]] += [index[b] for b in ns if index[b] < index[a]]
-            case Log2Le(x=x, y=y):
+                    unlike[index[a]] += [f"v{index[a]} == v{index[b]}"
+                                         for b in ns if index[b] < index[a]]
+            case Log2Le(x=x, y=y):  # ceil(log2(x)) <= y; log2_le(x, x) always holds
                 if index[x] < index[y]:
-                    log_lo[index[y]].append(index[x])
+                    lows[index[y]].append(f"(v{index[x]} - 1).bit_length()")
                 elif index[y] < index[x]:
-                    log_hi[index[x]].append(index[y])
-
-    val = list(mins)
-    tv = [0] * len(cfg.terms)  # term values, each set when its term completes
-    colors = None if coloring is None else coloring.colors
-    # watch[d]: (j, term) for the terms holding variable d, j = -1 while the
-    # term still has a later variable; a constant term completes at d = 0
-    watch: list[list] = [[] for _ in range(n)]
+                    highs[index[x]].append(f"1 << min(v{index[y]}, bits)")
+    holds: list[list[int]] = [[] for _ in range(n)]  # the terms holding each variable
+    done = []  # each term's last variable; a constant term completes at the first
     for j, t in enumerate(cfg.terms):
-        vs: list[str] = []
-        _term_vars(t, vs)
-        ids = {index[v] for v in vs} or {0}
-        f = _term_function(t, index, sat, bits)
-        for i in ids:
-            watch[i].append((j if i == max(ids) else -1, f))
-    last = n - 1
-    tick = 0
+        ids = {index[x.name] for x in subexprs(t) if type(x) is Var} or {0}
+        for d in ids:
+            holds[d].append(j)
+        done.append(max(ids))
+    first = min(range(len(done)), key=lambda j: (done[j], j))
 
-    def dfs(d: int, need: int):
-        nonlocal tick
-        # ceil(log2(x)) <= v for x in log_lo[d], ceil(log2(v)) <= y for y in log_hi[d]
-        lower = max([mins[d], *((val[i] - 1).bit_length() for i in log_lo[d])])
-        upper = min([hi, *(1 << min(val[i], bits) for i in log_hi[d])])
-        taken = {val[i] for i in unlike[d]}
-        for v in range(lower, upper + 1):
-            tick += 1
-            if not tick & 1023 and deadline is not None and time.monotonic() > deadline:
-                raise _OutOfTime
-            if v in taken:
+    def term(j: int, d: int, pad: str, out: list[str]) -> str:
+        """Term j's value at variable d, one assignment per inner node."""
+        t, reg = cfg.terms[j], {}  # keyed by id(node), so a shared subtree works
+        for node in reversed([*subexprs(t)]):
+            if id(node) in reg:
                 continue
-            val[d] = v
-            c = need
-            for j, f in watch[d]:
-                x = f(val)
-                if x > hi:
-                    break
-                if j < 0:
-                    continue
-                tv[j] = x
-                if x < lo:
-                    break
-                if colors is not None:
-                    if c == -1:
-                        c = colors[x - lo]
-                    elif colors[x - lo] != c:
-                        break
+            if type(node) is Var:
+                i = index[node.name]
+                reg[id(node)] = f"v{i}" if i <= d else f"lit[{i}]"
+            elif type(node) is Nat:
+                reg[id(node)] = f"lit[{len(lit)}]"
+                lit.append(min(node.value, hi + 1))
             else:
-                if d == last:
-                    yield tuple(val), tuple(tv)
-                else:
-                    yield from dfs(d + 1, c)
-                continue
-            if x > hi:
-                break  # terms are monotone: no larger v helps
-        val[d] = mins[d]
+                name = f"t{j}" if node is t else f"r{len(reg)}"
+                out.append(f"{pad}{name} = "
+                           + _OPS[type(node)].format(*(reg[id(c)] for c in _children(node))))
+                reg[id(node)] = name
+        return reg[id(t)]
 
-    yield from dfs(0, -1)
+    src: list[str] = []
+    held = ["0"] * len(done)  # where each term's value is read once completed
+    for s in range(0, n, _LOOPS):
+        e = min(s + _LOOPS, n)
+        body: list[str] = []
+        for d in range(s, e):
+            pad = "    " * (d - s + 1)
+            low = lows[d][0] if len(lows[d]) == 1 else f"max({', '.join(lows[d])})"
+            high = highs[d][0] if len(highs[d]) == 1 else f"min({', '.join(highs[d])})"
+            body += [f"{pad}for v{d} in range({low}, {high} + 1):",
+                     f"{pad}    tick += 1",
+                     f"{pad}    if not tick & 1023 and monotonic() > deadline:",
+                     f"{pad}        raise _OutOfTime"]
+            pad += "    "
+            if unlike[d]:
+                body.append(f"{pad}if {' or '.join(unlike[d])}: continue")
+            for j in holds[d]:
+                x = term(j, d, pad, body)
+                body.append(f"{pad}if {x} > hi: break")
+                if done[j] == d:
+                    held[j] = x
+                    body.append(f"{pad}if {x} < lo: continue")
+                    if coloring is not None:
+                        body.append(f"{pad}c = colors[{x} - lo]" if j == first
+                                    else f"{pad}if colors[{x} - lo] != c: continue")
+        values = ("pre + " if s else "") + f"({''.join(f'v{d}, ' for d in range(s, e))})"
+        terms = f"({''.join(h + ', ' for h in held)})"
+        body.append("    " * (e - s + 1) + (f"yield {values}, {terms}" if e == n else
+                                            f"tick = yield from g{e}({values}, {terms}, c, tick)"))
+        held = [f"tvs[{j}]" for j in range(len(held))]
+        # the variables of earlier functions that this one reads, from its tuple
+        earlier = {int(i) for i in re.findall(r"\bv(\d+)", "\n".join(body) if s else "")}
+        src += [f"def g{s}(pre, tvs, c, tick):",
+                *(f"    v{i} = pre[{i}]" for i in sorted(earlier) if i < s), *body, "    return tick"]
+    env = {"_power": _power, "_OutOfTime": _OutOfTime, "monotonic": time.monotonic,
+           "deadline": float("inf") if deadline is None else deadline,
+           "lo": lo, "hi": hi, "sat": hi + 1, "bits": hi.bit_length(), "lit": tuple(lit),
+           "colors": None if coloring is None else coloring.colors}
+    exec(_compile("\n".join(src), "<instances>", "exec"), env)
+    yield from env["g0"]((), (), -1, 0)
 
 
 def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]:

@@ -453,9 +453,28 @@ def test_long_flat_sums_answer(capsys):
     assert invoke(capsys, ["prove", f"{half} == {half}"]) == (EX_OK, "equal\n", "")
 
 
-def test_too_deep_nesting_is_inconclusive(capsys, tmp_path):
-    # expressions and configuration terms answer at any depth; the search
-    # still recurses once per variable, so 1100 variables exhaust the stack
+@pytest.mark.parametrize("side", [
+    "E2(5, ((E2(p:{nonprincipal}, 1) + E2(3, 5)) ^ 6))",
+    "(1 ^ p + 2) ^ 70",
+    "2 ^ (G(6) ^ p + 69)",
+])
+def test_prove_identical_sides_past_the_cap(capsys, side):
+    # a variable subtree folds to 1 under a power past 2^64; the sides are
+    # the same tree, so they are equal with an empty trace
+    assert invoke(capsys, ["prove", f"{side} == {side}"]) == (EX_OK, "equal\n", "")
+    rc, out, _ = invoke(capsys, ["prove", f"{side} == {side}", "--json"])
+    assert (rc, json.loads(out)) == (EX_OK, {"verdict": "equal", "trace": []})
+
+
+def test_prove_unlike_sides_past_the_cap(capsys):
+    rc, out, err = invoke(capsys, ["prove", "1 ^ p * 2 ^ 70 == 2 ^ 70"])
+    assert (rc, out) == (EX_INCONCLUSIVE, "")
+    assert err == "ultraexp: 2^70 exceeds cap 18446744073709551616\n"
+
+
+def test_too_deep_nesting_is_inconclusive(capsys, tmp_path, monkeypatch):
+    # expressions, configuration terms and variable counts answer at any
+    # depth; a RecursionError that still escapes is inconclusive
     assert invoke(capsys, ["eval", "(" * 300 + "1" + ")" * 300]) == (EX_OK, "1\n", "")
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("config {" + "x + " * 1500 + "x};")
@@ -464,6 +483,15 @@ def test_too_deep_nesting_is_inconclusive(capsys, tmp_path):
     assert "\nc range [1..4], 2 colors, 0 instances\n" in out
     assert out.endswith("\np cnf 8 8\n1 2 0\n-1 -2 0\n3 4 0\n-3 -4 0\n5 6 0\n-5 -6 0\n7 8 0\n-7 -8 0\n")
     cfg.write_text("config {" + ", ".join(f"x{i}" for i in range(1100)) + "};")
+    rc, out, err = invoke(capsys, ["pr-cnf", "--config", str(cfg), "-k", "2", "--hi", "1"])
+    assert (rc, err) == (EX_OK, "")
+    assert "\nc range [1..1], 2 colors, 1 instances\n" in out
+    assert out.endswith("\np cnf 2 4\n1 2 0\n-1 -2 0\n-1 0\n-2 0\n")
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(prsearch, "export_cnf", too_deep)
     rc, out, err = invoke(capsys, ["pr-cnf", "--config", str(cfg), "-k", "2", "--hi", "1"])
     assert (rc, out) == (EX_INCONCLUSIVE, "")
     assert err.startswith("ultraexp: maximum recursion depth exceeded")

@@ -53,6 +53,36 @@ def test_cases_match_the_oracle(text, lo, hi):
     _same(parse_config(text), lo, hi, random.Random(text))
 
 
+def _names(n):
+    return ", ".join(f"x{i}" for i in range(n))
+
+
+def _total(n):
+    return " + ".join(f"x{i}" for i in range(n))
+
+
+# Each generated function holds at most 16 variable loops.  A sum of every
+# variable keeps these ranges tiny; the distinct, log2_le and cross terms
+# reach from one function into the next, and the last case leaves its first
+# completed term, whose color the others must match, to the second function.
+WIDE = [
+    (f"config {{{_names(16)}, {_total(16)}, x3 * x12}} "
+     "where distinct(x0, x15), log2_le(x15, x1);", 1, 18, 10),
+    (f"config {{{_names(17)}, {_total(17)}, x0 * x16, 5}} "
+     "where distinct(x3, x16), log2_le(x16, x2), log2_le(x1, x16), x16 > 1;", 1, 20, 10),
+    (f"config {{{_total(33)}, x15 + x16 + x32, x32}} "
+     "where distinct(x15, x32), log2_le(x32, x0), log2_le(x1, x17);", 1, 35, 2),
+    (f"config {{{_total(17)}, x16 + x0}};", 1, 19, 10),
+]
+
+
+@pytest.mark.parametrize("text,lo,hi,colorings", WIDE, ids=["16", "17", "33", "17-late-color"])
+def test_wide_configs_match_the_oracle(text, lo, hi, colorings):
+    cfg = parse_config(text)
+    assert len(enumerate_instances(cfg, lo, hi)) > 20
+    _same(cfg, lo, hi, random.Random(text), colorings)
+
+
 def _rand_term(rng, names, depth):
     if depth == 0 or rng.random() < 0.35:
         return rng.choice(names) if rng.random() < 0.8 else str(rng.randint(1, 3))

@@ -374,8 +374,16 @@ def test_budget_time(monkeypatch):
     assert out.nodes == 1024
 
 
-def test_budget_time_covers_enumeration():
-    # enumerating Schur on [1..600] alone takes longer than the budget
+def test_budget_time_covers_enumeration(monkeypatch):
+    # the clock passes the deadline at its first reading inside the
+    # enumeration of Schur on [1..600], 1024 candidates in
+    reads = []
+
+    def monotonic():
+        reads.append(1)
+        return 0.0 if len(reads) == 1 else 100.0
+
+    monkeypatch.setattr(prsearch, "time", types.SimpleNamespace(monotonic=monotonic))
     start = time.monotonic()
     out = find_avoiding_coloring(
         parse_config(SCHUR), 2, 1, 600, SearchBudget(max_seconds=0.3)
@@ -383,6 +391,33 @@ def test_budget_time_covers_enumeration():
     assert time.monotonic() - start < 1.5
     assert isinstance(out, Budget) and out.reason == "time"
     assert out.nodes == 0  # stopped before the DFS began
+    assert len(reads) == 3  # the start, the enumeration's reading, the elapsed time
+
+
+def test_deadline_passes_inside_the_second_function(monkeypatch):
+    # x0..x15 fill the first generated function with one candidate each, so
+    # the 1024th candidate, where the clock is first read, is x16 = 1008
+    cfg = parse_config("config {" + ", ".join(f"x{i}" for i in range(17)) + "} where "
+                       + ", ".join(f"x{i} > 1999" for i in range(16)) + ";")
+    reads = []
+    monkeypatch.setattr(prsearch, "time", types.SimpleNamespace(
+        monotonic=lambda: reads.append(1) or 100.0))
+    got = []
+    with pytest.raises(prsearch._OutOfTime):
+        for values, _ in prsearch._instances(cfg, 1, 2000, None, 1.0):
+            got.append(values)
+    assert got == [(2000,) * 16 + (v,) for v in range(1, 1008)]
+    assert len(reads) == 1
+    # the count carries back across calls: with 40 values for each of x0 and
+    # x16, each x0 takes 56 candidates, so the 1024th is x15 once x0 = 19
+    cfg = parse_config("config {" + ", ".join(f"x{i}" for i in range(17)) + "} where "
+                       + ", ".join(f"x{i} > 39" for i in range(1, 16)) + ";")
+    got = []
+    with pytest.raises(prsearch._OutOfTime):
+        for values, _ in prsearch._instances(cfg, 1, 40, None, 1.0):
+            got.append(values)
+    assert len(got) == 18 * 40 and got[-1] == (18,) + (40,) * 16
+    assert len(reads) == 2
 
 
 def test_budget_time_checked_before_the_dfs(monkeypatch):

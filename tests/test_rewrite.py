@@ -285,6 +285,23 @@ def test_prove_equal_trace_sides():
     assert sides == sorted(sides)  # left steps first, then right
 
 
+def test_prove_identical_sides_past_the_limits(monkeypatch):
+    # e == e holds whatever its normal form, so a side that passes the cap
+    # or the rewrite limit still gives Equal, with no trace
+    e = "(1 ^ p + 2) ^ 70"
+    assert prove(f"{e} == {e}") == Equal(())
+    with pytest.raises(CapExceeded):
+        prove(f"{e} == {e} + 1")
+
+    def over(e, cap, *rest):
+        raise RuleLimitExceeded("more than 0 rewrites")
+
+    monkeypatch.setattr("ultraexp.rewrite.normalize_with_trace", over)
+    assert prove("p + 1 == p + 1") == Equal(())
+    with pytest.raises(RuleLimitExceeded):
+        prove("p + 1 == 1 + p")
+
+
 def test_oracle_noid():
     v = prove("q:{nonprincipal} ^ q == q")  # no E1-idempotents
     assert isinstance(v, NotEqual) and v.oracle == "O-NOID"
