@@ -32,7 +32,7 @@ from .expr import (
     DEFAULT_CAP,
     EvalError,
     ParseError,
-    _format_chain,
+    _format_edits,
     eval_principal,
     format_expr,
     parse_equation,
@@ -165,9 +165,12 @@ def _coloring_obj(c: prsearch.Coloring) -> dict:
 
 
 def _trace_rows(trace) -> list[dict]:
-    # each step's before is the previous after (replay_trace checks it), and
-    # each after differs from it along one root path
-    texts = _format_chain([s.before for s in trace[:1]] + [s.after for s in trace])
+    if not trace:
+        return []
+    # every step of one normalization, in order: the first step's edit log
+    # holds them all, and the snapshots themselves are never built
+    log = trace[0]._log
+    texts = _format_edits(log.root, log.edits)
     return [{"rule": s.rule, "before": b, "after": a} for s, b, a in zip(trace, texts, texts[1:])]
 
 

@@ -327,66 +327,68 @@ def _format(e: UExpr, memo: dict | None = None) -> str:
     return text
 
 
-def _format_chain(trees: list) -> list[str]:
-    """``format_expr`` of each tree of a rewrite trace, where a tree shares
-    all but one root path with the one before it.
+def _format_edits(e: UExpr, edits) -> list[str]:
+    """``format_expr`` of e and of the tree after each edit of a rewrite log.
 
-    The first tree is formatted in full.  Each later tree is walked from the
-    root beside its predecessor, down the one child that differs, adding the
-    lengths of the left siblings to the text offset.  At the first node whose
-    type or fields changed, or where more than one child differs, the new
-    subtree is formatted, copying the subtrees formatted before, and spliced
-    over the old span, parentheses included.  The rebuilt nodes above it
-    take the old nodes' lengths plus the change.  ``trees`` keeps every id
-    in the tables alive.
+    An edit (cell, new) puts new in place of the subtree at cell, where a
+    cell is None for the root or (the parent's cell, child index).  Edits
+    come in innermost-first order: each lies inside the replacement before
+    it, at one of its ancestors, or to the right of it.  So while a node is
+    on the path to the latest edit, every later edit is inside it until one
+    lands outside, and neither its start nor the length of the text after
+    it moves.  e is formatted once; each edit's replacement is formatted,
+    copying the subtrees formatted before, and spliced over the old span,
+    parentheses included, at an offset carried down the path.  ``edits``
+    keeps every id in the table alive.
     """
     memo: dict = {}
-    lens: dict[int, int] = {}  # text lengths of the nodes on rebuilt paths
+    text = _format(e, memo)
+    texts = [text]
 
-    def length(x) -> int:
-        n = lens.get(id(x))
-        if n is None:
-            hit = memo.get(id(x))
-            n = hit[2] - hit[1] if hit else len(_format(x, memo))
-        return n
+    def width(x, level: int) -> int:
+        hit = memo.get(id(x))
+        n = hit[2] - hit[1] if hit else len(_layout(x)[0])
+        return n + 2 * (level > _BARE.get(type(x), 3))
 
-    if not trees:
-        return []
-    texts = [_format(trees[0], memo)]
-    for old, new in zip(trees, trees[1:]):
-        text = texts[-1]
-        o, n, off, level = old, new, 0, 0
-        path = []  # (old, new) pairs above the splice
-        while o is not n:
-            t = type(o)
-            ok, nk = _children(o), _children(n)
-            k = -1  # the one child that differs; nodes have at most two
-            if t is type(n) and (t is not Lift or o.fn == n.fn):
-                if ok and ok[0] is not nk[0]:
-                    if len(ok) == 1 or ok[1] is nk[1]:
-                        k = 0
-                elif len(ok) == 2:
-                    k = 1
-            if k < 0:
-                was = length(o) + 2 * (level > _BARE.get(t, 3))
-                s = _format(n, memo)
-                if level > _BARE.get(type(n), 3):
-                    s = f"({s})"
-                text = text[:off] + s + text[off + was:]
-                delta = len(s) - was
-                lens.pop(id(o), None)
-                for a, b in path:
-                    m = lens.pop(id(a), None)
-                    lens[id(b)] = (length(a) if m is None else m) + delta
-                break
-            prefix, sep, _, levels = _layout(o)
-            off += (level > _BARE.get(t, 3)) + len(prefix)
-            if k:
-                c = ok[0]
-                off += length(c) + 2 * (levels[0] > _BARE.get(type(c), 3)) + len(sep)
-            path.append((o, n))
-            o, n, level = ok[k], nk[k], levels[k]
+    def opening(x, level: int, start: int) -> int:
+        # where x's first child starts, x starting at start
+        return start + (level > _BARE.get(type(x), 3)) + len(_layout(x)[0])
+
+    # [cell, node, level, start, tail, k, off] from the root down to the
+    # latest edit: the node's text, parentheses included, starts at start
+    # and has tail characters after it; its child k starts at off
+    path = [[None, e, 0, 0, 0, 0, opening(e, 0, 0)]]
+    depth = {}  # id(cell) -> its index in path, but for the root's
+    for cell, new in edits:
+        fresh = []  # the cells below the deepest one still on the path
+        while cell is not None and id(cell) not in depth:
+            fresh.append(cell)
+            cell = cell[0]
+        d = 0 if cell is None else depth[id(cell)]
+        while len(path) > d + 1:  # these are done: fix where the next child starts
+            c, _, _, _, tail, _, _ = path.pop()
+            del depth[id(c)]
+            parent = path[-1]
+            parent[5] = c[1] + 1
+            parent[6] = len(text) - tail + len(_layout(parent[1])[1])
+        for c in reversed(fresh):
+            _, node, _, _, _, k, off = path[-1]
+            _, sep, _, levels = _layout(node)
+            kids = _children(node)
+            for j in range(k, c[1]):
+                off += width(kids[j], levels[j]) + len(sep)
+            child, level = kids[c[1]], levels[c[1]]
+            tail = len(text) - off - width(child, level)
+            depth[id(c)] = len(path)
+            path.append([c, child, level, off, tail, 0, opening(child, level, off)])
+        top = path[-1]
+        _, _, level, start, tail, _, _ = top
+        s = _format(new, memo)
+        if level > _BARE.get(type(new), 3):
+            s = f"({s})"
+        text = text[:start] + s + text[len(text) - tail:]
         texts.append(text)
+        top[1], top[5], top[6] = new, 0, opening(new, level, start)
     return texts
 
 

@@ -99,6 +99,13 @@ class ConfigTemplate:
     terms: tuple[UExpr, ...]
     constraints: tuple[Constraint, ...] = ()
 
+    @functools.cached_property
+    def _enumerators(self) -> dict:
+        """``_enumerator``'s result for this object, by coloring mode, so a
+        scan over N builds its source once.  No field: it is kept out of
+        ==, hash and repr."""
+        return {}
+
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a configuration needs at least one term")
@@ -340,29 +347,54 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
     declaration order, optionally restricted to instances monochromatic
     under ``coloring`` (pruned, same order), as (values, term_values) tuples.
 
+    Runs the generated source of ``_enumerator``, built once per
+    configuration object and coloring mode, in an environment holding this
+    call's range, literal table and colors.  Every 1024 candidates the
+    clock is read against ``deadline`` (time.monotonic), raising
+    _OutOfTime once it has passed.
+    """
+    if not (1 <= lo <= hi):
+        raise ValueError("need 1 <= lo <= hi")
+    colored = coloring is not None
+    plans = cfg._enumerators
+    if colored not in plans:
+        plans[colored] = _enumerator(cfg, colored)
+    src, floors, nats = plans[colored]
+    lit = tuple(max(lo, f) for f in floors) + tuple(min(v, hi + 1) for v in nats)
+    env = {"_power": _power, "_OutOfTime": _OutOfTime, "monotonic": time.monotonic,
+           "deadline": float("inf") if deadline is None else deadline,
+           "lo": lo, "hi": hi, "sat": hi + 1, "bits": hi.bit_length(), "lit": lit,
+           "colors": coloring.colors if colored else None}
+    exec(_compile(src, "<instances>", "exec"), env)
+    yield from env["g0"]((), (), -1, 0)
+
+
+def _enumerator(cfg: ConfigTemplate, colored: bool) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """(source, floors, literals) of ``_instances``'s enumeration: the
+    source reads its bounds and literals from a table ``lit``, whose first
+    entries are the variables' minimums, max(lo, floor), and whose rest
+    are the terms' literals, saturated at hi + 1.
+
     Generated code holds one ``for`` per variable, _LOOPS to a function, each
     function passing the values so far to the next as one tuple.  A loop
     runs from its variable's minimum to hi, narrowed by each ``log2_le``
     with an earlier variable, and skips its earlier ``distinct`` partners'
     values.  It evaluates each term holding its variable, later variables
     at their minimum (a live lower bound: terms are monotone).  A term past
-    hi ends the loop; a completed term below lo, or off the color of the
-    first completed term, skips the value.  Every 1024 candidates the clock
-    is read against ``deadline`` (time.monotonic), raising _OutOfTime once
-    it has passed.
+    hi ends the loop; a completed term below lo, or, when ``colored``, off
+    the color of the first completed term, skips the value.
     """
-    if not (1 <= lo <= hi):
-        raise ValueError("need 1 <= lo <= hi")
     index = {v: i for i, v in enumerate(cfg.variables)}
     n = len(index)
-    lit = [lo] * n  # the minimums, then the literals: the source holds indices
+    floors = [1] * n
+    nats: list[int] = []
     lows = [[f"lit[{d}]"] for d in range(n)]
     highs = [["hi"] for _ in range(n)]
     unlike: list[list[str]] = [[] for _ in range(n)]
     for c in cfg.constraints:
         match c:
             case MinBound(var=v, low=m):
-                lit[index[v]] = max(lit[index[v]], m)
+                floors[index[v]] = max(floors[index[v]], m)
             case Distinct(names=ns):
                 for a in ns:
                     unlike[index[a]] += [f"v{index[a]} == v{index[b]}"
@@ -391,8 +423,8 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
                 i = index[node.name]
                 reg[id(node)] = f"v{i}" if i <= d else f"lit[{i}]"
             elif type(node) is Nat:
-                reg[id(node)] = f"lit[{len(lit)}]"
-                lit.append(min(node.value, hi + 1))
+                reg[id(node)] = f"lit[{n + len(nats)}]"
+                nats.append(node.value)
             else:
                 name = f"t{j}" if node is t else f"r{len(reg)}"
                 out.append(f"{pad}{name} = "
@@ -422,7 +454,7 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
                 if done[j] == d:
                     held[j] = x
                     body.append(f"{pad}if {x} < lo: continue")
-                    if coloring is not None:
+                    if colored:
                         body.append(f"{pad}c = colors[{x} - lo]" if j == first
                                     else f"{pad}if colors[{x} - lo] != c: continue")
         values = ("pre + " if s else "") + f"({''.join(f'v{d}, ' for d in range(s, e))})"
@@ -434,12 +466,7 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
         earlier = {int(i) for i in re.findall(r"\bv(\d+)", "\n".join(body) if s else "")}
         src += [f"def g{s}(pre, tvs, c, tick):",
                 *(f"    v{i} = pre[{i}]" for i in sorted(earlier) if i < s), *body, "    return tick"]
-    env = {"_power": _power, "_OutOfTime": _OutOfTime, "monotonic": time.monotonic,
-           "deadline": float("inf") if deadline is None else deadline,
-           "lo": lo, "hi": hi, "sat": hi + 1, "bits": hi.bit_length(), "lit": tuple(lit),
-           "colors": None if coloring is None else coloring.colors}
-    exec(_compile("\n".join(src), "<instances>", "exec"), env)
-    yield from env["g0"]((), (), -1, 0)
+    return "\n".join(src), tuple(floors), tuple(nats)
 
 
 def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]:

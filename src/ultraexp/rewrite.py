@@ -261,14 +261,113 @@ def _measure_node(e: UExpr, results, cap: int):
     return counts, _peval_node(e, [v for _, v in results], cap)
 
 
+def _measure_memo(e: UExpr, cap: int, memo: dict) -> tuple[int, int, int, int, int, int]:
+    """measure(e), where memo (id -> (node, _measure_node result)) supplies
+    the subtrees measured before and takes the rest."""
+
+    def operands(x):
+        return () if id(x) in memo else _operands(x)
+
+    def step(x, results, cap):
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, _measure_node(x, results, cap))
+        return hit[1]
+
+    return _bottom_up(e, step, cap, operands)[0][:6]
+
+
 # ---------------------------------------------------------------------------
 # engine
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    before: UExpr
-    after: UExpr
+def _splice(e: UExpr, cell, new: UExpr) -> UExpr:
+    """e with the subtree at ``cell`` replaced by new: the ancestors are
+    rebuilt, every other subtree is shared.  A cell is None for the root, or
+    (the parent's cell, child index)."""
+    where = []
+    while cell is not None:
+        cell, i = cell
+        where.append(i)
+    nodes = [e]
+    for i in reversed(where):
+        nodes.append(_children(nodes[-1])[i])
+    for parent, i in zip(reversed(nodes[:-1]), where):
+        kids = [*_children(parent)]
+        kids[i] = new
+        new = _with_children(parent, kids)
+    return new
+
+
+class _Log:
+    """A rewrite run as an edit log: the input tree and one (cell,
+    replacement) per firing.  ``trees`` holds the whole-tree snapshots built
+    from it so far, the input first."""
+
+    __slots__ = ("root", "edits", "trees")
+
+    def __init__(self, root: UExpr, edits: list):
+        self.root = root
+        self.edits = edits
+        self.trees = [root]
+
+    def tree(self, k: int) -> UExpr:
+        """The tree after the first k edits, each snapshot built once, from
+        the one before it."""
+        trees = self.trees
+        while len(trees) <= k:
+            cell, new = self.edits[len(trees) - 1]
+            trees.append(_splice(trees[-1], cell, new))
+        return trees[k]
+
+
+class _Step:
+    """A firing whose ``before`` and ``after`` are read from a log."""
+
+    __slots__ = ("rule", "_log", "_k")
+    _fields = ("rule", "before", "after")
+
+    @classmethod
+    def _of(cls, log: _Log, k: int, **fields):
+        """The firing after the first k edits of log."""
+        step = cls.__new__(cls)
+        step._log, step._k = log, k
+        for name, value in fields.items():
+            setattr(step, name, value)
+        return step
+
+    @property
+    def before(self) -> UExpr:
+        return self._log.tree(self._k)
+
+    @property
+    def after(self) -> UExpr:
+        return self._log.tree(self._k + 1)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class TraceStep(_Step):
+    """One firing: the rule and the whole tree before and after it.
+
+    The steps of one ``normalize_with_trace`` run share its edit log, and
+    each snapshot is built from it the first time it is read, from the
+    snapshot before it, so ``nxt.before is s.after``.  Reading ``rule``
+    builds nothing."""
+
+    __slots__ = ()
+
+    def __init__(self, rule: str, before: UExpr, after: UExpr):
+        self._log, self._k, self.rule = _Log(before, [(None, after)]), 0, rule
 
 
 def normalize_with_trace(
@@ -282,21 +381,26 @@ def normalize_with_trace(
     Children are normalized left to right, then the catalog is tried at the
     node, and a replacement is normalized in its place: the post-order,
     leftmost order of searching again from the root after each firing,
-    without revisiting subtrees already found normal.  Each step's ``before``
-    is the previous ``after``; an ``after`` copies only the root path.
+    without revisiting subtrees already found normal.  A firing is recorded
+    as its rule, the cell of its position and the replacement, in time
+    independent of the tree; the steps' whole-tree snapshots are built only
+    when read (see ``TraceStep``).  With ``check_measure`` every snapshot is
+    built and measured, memoized by node, so a firing measures only the
+    nodes it rebuilt.
     """
-    steps: list[TraceStep] = []
+    rules: list[str] = []
+    log = _Log(e, [])
     settled: dict[int, UExpr] = {}  # normal subtrees, held so ids stay unique
-    # [node, its children with the normalized ones first, next child index]
-    # for each node from the root down to the one being normalized
-    path = [[e, [*_children(e)], 0]]
-    whole = e
-    last = measure(e, cap) if check_measure else None  # measure(whole)
+    measured: dict[int, tuple] = {}  # id -> (node, _measure_node result)
+    last = _measure_memo(e, cap, measured) if check_measure else None
+    # [node, its children with the normalized ones first, next child index,
+    # cell] for each node from the root down to the one being normalized
+    path = [[e, [*_children(e)], 0, None]]
     while True:
-        node, kids, i = path[-1]
+        node, kids, i, cell = path[-1]
         if id(node) not in settled:
             if i < len(kids):
-                path.append([kids[i], [*_children(kids[i])], 0])
+                path.append([kids[i], [*_children(kids[i])], 0, (cell, i)])
                 continue
             node = _with_children(node, kids)
             for rid, fn in CATALOG:
@@ -304,31 +408,25 @@ def normalize_with_trace(
                 if out is not None:
                     break
             if out is not None:
-                after = out
-                # each rebuilt ancestor replaces the node in its entry, so a
-                # node settles as the very object this snapshot holds
-                for entry in reversed(path[:-1]):
-                    parent, siblings, j = entry
-                    siblings[j] = after
-                    after = entry[0] = _with_children(parent, siblings)
+                log.edits.append((cell, out))
+                rules.append(rid)
                 if check_measure:
-                    m = measure(after, cap)
+                    n = len(rules)
+                    m = _measure_memo(log.tree(n), cap, measured)
                     if not m < last:
                         raise AssertionError(
-                            f"measure did not decrease for {rid}: {whole} -> {after} "
-                            f"({last} -> {m})"
+                            f"measure did not decrease for {rid}: {log.tree(n - 1)} -> "
+                            f"{log.tree(n)} ({last} -> {m})"
                         )
                     last = m
-                steps.append(TraceStep(rid, whole, after))
-                if len(steps) > max_steps:
+                if len(rules) > max_steps:
                     raise RuleLimitExceeded(f"more than {max_steps} rewrites from {e}")
-                whole = after
-                path[-1] = [out, [*_children(out)], 0]
+                path[-1] = [out, [*_children(out)], 0, cell]
                 continue
             settled[id(node)] = node
         path.pop()
         if not path:
-            return node, tuple(steps)
+            return node, tuple(TraceStep._of(log, k, rule=r) for k, r in enumerate(rules))
         path[-1][1][path[-1][2]] = node
         path[-1][2] += 1
 
@@ -363,12 +461,14 @@ def replay_trace(e: UExpr, trace) -> UExpr:
 # ---------------------------------------------------------------------------
 # verdicts
 
-@dataclass(frozen=True)
-class SidedStep:
-    side: str  # "left" | "right"
-    rule: str
-    before: UExpr
-    after: UExpr
+class SidedStep(_Step):
+    """A TraceStep of one side of an equation; ``side`` is "left" or "right"."""
+
+    __slots__ = ("side",)
+    _fields = ("side", "rule", "before", "after")
+
+    def __init__(self, side: str, rule: str, before: UExpr, after: UExpr):
+        self._log, self._k, self.rule, self.side = _Log(before, [(None, after)]), 0, rule, side
 
 
 @dataclass(frozen=True)
@@ -519,9 +619,10 @@ def prove_equal(e1: UExpr, e2: UExpr, cap: int = DEFAULT_CAP) -> Verdict:
             return Equal(())
         raise
     if _same(n1, n2):
-        trace = tuple(SidedStep("left", s.rule, s.before, s.after) for s in t1)
-        trace += tuple(SidedStep("right", s.rule, s.before, s.after) for s in t2)
-        return Equal(trace)
+        return Equal(tuple(
+            SidedStep._of(s._log, s._k, side=side, rule=s.rule)
+            for side, t in (("left", t1), ("right", t2)) for s in t
+        ))
     return find_refutation(n1, n2) or UNKNOWN
 
 

@@ -376,13 +376,13 @@ def test_data_errors(capsys, files):
 
 
 def test_budget_secs_covers_enumeration(capsys, files):
-    # enumerating Schur on [1..600], or one N of the nine-distinct scan,
-    # takes longer than the budget
+    # enumerating Schur on [1..1200], or one N of the nine-distinct scan,
+    # takes longer than the budget ([1..600] takes about as long as 0.3 s)
     (files / "nine.cfg").write_text(
         "config {a, b, c, d, e, f, g, h, i} where distinct(a, b, c, d, e, f, g, h, i);\n"
     )
     for argv in (
-        ["pr-avoid", "--config", str(files / "schur.cfg"), "-k", "2", "--hi", "600",
+        ["pr-avoid", "--config", str(files / "schur.cfg"), "-k", "2", "--hi", "1200",
          "--budget-secs", "0.3"],
         ["pr-min", "--config", str(files / "nine.cfg"), "-k", "2", "--max", "16",
          "--budget-secs", "0.5"],
@@ -515,6 +515,26 @@ def test_deep_nesting_answers(capsys):
     assert invoke(capsys, ["eval", _nest("E2(1, ", "2")]) == (EX_OK, "2\n", "")
     logs = _nest("log(2, ", "p")
     assert invoke(capsys, ["normalize", logs]) == (EX_OK, logs + "\n", "")
+
+
+def test_deep_rewrites_answer(capsys):
+    # every level of the nest fires E2ASSOC and every + of the sum FOLD
+    closed = "E2(" + "p * (" * (DEEP - 2) + "p * p" + ")" * (DEEP - 2) + ", q)"
+    assert invoke(capsys, ["normalize", _nest("E2(p, ", "q")]) == (EX_OK, closed + "\n", "")
+    ones = " + ".join(["1"] * DEEP)
+    assert invoke(capsys, ["normalize", ones]) == (EX_OK, f"{DEEP}\n", "")
+
+
+def test_trace_rows_build_no_snapshot(capsys, monkeypatch):
+    def splice(*args):
+        raise AssertionError("a snapshot was built")
+
+    monkeypatch.setattr(rewrite, "_splice", splice)
+    text, closed = _chain(25)
+    rc, out, _ = invoke(capsys, ["prove", f"{text} == {closed}", "--trace-json"])
+    assert rc == EX_OK and len(json.loads(out)) == 74
+    rc, out, _ = invoke(capsys, ["normalize", text, "--trace-json", "--json"])
+    assert rc == EX_OK and len(json.loads(out)["trace"]) == 74
 
 
 def test_deep_unclosed_parenthesis_is_a_parse_error(capsys):

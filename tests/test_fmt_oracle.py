@@ -2,8 +2,8 @@
 formatter they replaced.
 
 ``format_expr`` must give the old text for every tree, and
-``_format_chain`` must give ``format_expr`` of every snapshot of a trace,
-however the snapshots differ.
+``_format_edits`` must give ``format_expr`` of every snapshot of an edit
+log, whatever the edits replace.
 """
 
 import dataclasses
@@ -26,18 +26,23 @@ from ultraexp.expr import (
     Sum,
     Var,
     _children,
-    _format_chain,
-    _with_children,
+    _format_edits,
     format_expr,
     parse_expr,
 )
-from ultraexp.rewrite import RuleLimitExceeded, normalize_with_trace
+from ultraexp.rewrite import RuleLimitExceeded, _Log, normalize_with_trace
 
 oracle = _fmt_oracle.format_expr
 
 
 def _snapshots(trace) -> list:
     return [s.before for s in trace[:1]] + [s.after for s in trace]
+
+
+def _texts(trace) -> list[str]:
+    """The formatted snapshots of a trace, read from its edit log."""
+    log = trace[0]._log
+    return _format_edits(log.root, log.edits)
 
 
 def test_random_traces_match_recursive_formatter():
@@ -56,10 +61,12 @@ def test_random_traces_match_recursive_formatter():
             _, trace = normalize_with_trace(e, **kw)
         except (CapExceeded, RuleLimitExceeded):
             continue
+        if not trace:
+            continue
         trees = _snapshots(trace)
         want = [oracle(t) for t in trees]
         assert [format_expr(t) for t in trees] == want
-        assert _format_chain(trees) == want
+        assert _texts(trace) == want
         firings += len(trace)
     assert firings > 3000
 
@@ -68,21 +75,9 @@ def test_random_traces_match_recursive_formatter():
 def test_chain_traces_match_recursive_formatter(n):
     _, trace = normalize_with_trace(parse_expr(_chain(n)))
     trees = _snapshots(trace)
-    got = _format_chain(trees)
+    got = _texts(trace)
     assert got == [oracle(t) for t in trees]
     assert got[0] == format_expr(trees[0]) and got[-1] == format_expr(trees[-1])
-
-
-def _replace(rng: random.Random, e, new):
-    """e with the subtree at a random position replaced by new(old subtree);
-    the ancestors are rebuilt, every other subtree is shared."""
-    path = [e]
-    while _children(path[-1]) and rng.random() < 0.7:
-        path.append(rng.choice(_children(path[-1])))
-    out = new(path[-1])
-    for parent, old in zip(reversed(path[:-1]), reversed(path)):
-        out = _with_children(parent, tuple(out if c is old else c for c in _children(parent)))
-    return out
 
 
 def _other_node(rng: random.Random, old):
@@ -94,28 +89,52 @@ def _other_node(rng: random.Random, old):
     return Nat(rng.randint(1, 30))
 
 
+def _hand_made_log(rng: random.Random, e, edits: int) -> _Log:
+    """Random edits of e in innermost-first order.  Each edit first closes
+    some of the positions on the path to the one before it (the next edit
+    lands right of them), then descends through children at or right of
+    the next one still open, then replaces the subtree there."""
+    log = _Log(e, [])
+    path = [[None, 0]]  # [cell, first child index still open]
+    for _ in range(edits):
+        del path[rng.randint(1, len(path)):]
+        tree = log.tree(len(log.edits))
+        node = tree
+        for cell, _ in path[1:]:
+            node = _children(node)[cell[1]]
+        while rng.random() < 0.6:
+            cell, k = path[-1]
+            if k >= len(_children(node)):
+                break
+            i = rng.randrange(k, len(_children(node)))
+            path[-1][1] = i + 1
+            path.append([(cell, i), 0])
+            node = _children(node)[i]
+        shared = list(filter(_children, _children(tree)))
+        match rng.randrange(4):
+            case 0:  # a fresh subtree, often of another type, maybe shared
+                new = _rand_tree(rng, rng.randint(0, 3), True, shared)
+            case 1:  # an equal copy: text unchanged
+                new = dataclasses.replace(node)
+            case 2:
+                new = _other_node(rng, node)
+            case 3:  # a leaf
+                new = Var(rng.choice("pqr"))
+        log.edits.append((path[-1][0], new))
+        path[-1][1] = 0
+    return log
+
+
 def test_hand_made_chains_match_recursive_formatter():
     rng = random.Random(5)
-    steps = 0
+    edits = 0
     for _ in range(300):
-        trees = [_rand_tree(rng, rng.randint(1, 6), with_vars=True, shared=[])]
-        for _ in range(rng.randint(1, 8)):
-            shared = list(filter(_children, _children(trees[-1])))
-            nxt = trees[-1]
-            match rng.randrange(4):
-                case 0:  # a fresh subtree, often of another type, maybe shared
-                    nxt = _replace(rng, nxt, lambda old: _rand_tree(rng, rng.randint(0, 3), True, shared))
-                case 1:  # an equal copy: ancestors rebuilt, text unchanged
-                    nxt = _replace(rng, nxt, dataclasses.replace)
-                case 2:
-                    nxt = _replace(rng, nxt, lambda old: _other_node(rng, old))
-                case 3:  # two positions at once
-                    for _ in range(2):
-                        nxt = _replace(rng, nxt, lambda old: Var(rng.choice("pqr")))
-            trees.append(nxt)
-        assert _format_chain(trees) == [oracle(t) for t in trees]
-        steps += len(trees) - 1
-    assert steps > 1000
+        e = _rand_tree(rng, rng.randint(1, 6), with_vars=True, shared=[])
+        log = _hand_made_log(rng, e, rng.randint(1, 8))
+        trees = [log.tree(k) for k in range(len(log.edits) + 1)]
+        assert _format_edits(e, log.edits) == [oracle(t) for t in trees]
+        edits += len(log.edits)
+    assert edits > 1000
 
 
 x, y, z, q = Var("x"), Var("y"), Var("z"), Var("q")
@@ -126,33 +145,37 @@ LOG2 = LiftFn("log", 2)
     "trees, want",
     [
         # Prod -> Sum on the left of *: the parentheses appear
-        ([Prod(Prod(x, y), z), Prod(Sum(x, y), z)], ["x * y * z", "(x + y) * z"]),
+        (_Log(Prod(Prod(x, y), z), [((None, 0), Sum(x, y))]), ["x * y * z", "(x + y) * z"]),
         # Prod -> Exp1 on the right of *: the parentheses go
-        ([Prod(x, Prod(y, z)), Prod(x, Exp1(y, z))], ["x * (y * z)", "x * y ^ z"]),
+        (_Log(Prod(x, Prod(y, z)), [((None, 1), Exp1(y, z))]), ["x * (y * z)", "x * y ^ z"]),
         # Exp1 -> Prod in an exponent, under a lift with a base
         (
-            [Lift(LOG2, Exp1(Nat(2), Exp1(Nat(4), q))), Lift(LOG2, Exp1(Nat(2), Prod(Nat(4), q)))],
+            _Log(Lift(LOG2, Exp1(Nat(2), Exp1(Nat(4), q))), [(((None, 0), 1), Prod(Nat(4), q))]),
             ["log(2, 2 ^ 4 ^ q)", "log(2, 2 ^ (4 * q))"],
         ),
         # the lift's base changes, its argument is shared
-        ([Lift(LOG2, Sum(x, y)), Lift(LiftFn("log", 3), Sum(x, y))], ["log(2, x + y)", "log(3, x + y)"]),
+        (
+            _Log(Lift(LOG2, Sum(x, y)), [(None, Lift(LiftFn("log", 3), Sum(x, y)))]),
+            ["log(2, x + y)", "log(3, x + y)"],
+        ),
         # a Var gains attributes inside E2
         (
-            [Exp2(x, Sum(y, z)), Exp2(Var("x", AttrSet(esw_member=True)), Sum(y, z))],
+            _Log(Exp2(x, Sum(y, z)), [((None, 0), Var("x", AttrSet(esw_member=True)))]),
             ["E2(x, y + z)", "E2(x:{esw}, y + z)"],
         ),
     ],
 )
 def test_spliced_parentheses_and_fields(trees, want):
-    assert [oracle(t) for t in trees] == want
-    assert _format_chain(trees) == want
+    # trees: a log of one edit, whose two trees format as want
+    assert [oracle(trees.tree(0)), oracle(trees.tree(1))] == want
+    assert _format_edits(trees.root, trees.edits) == want
 
 
 def test_library_trace_with_lift_base():
     _, trace = normalize_with_trace(parse_expr("log(2, 4 ^ (q * 1)) * (3 * x) + log(3, 9 ^ q)"))
     trees = _snapshots(trace)
     assert len(trace) >= 4
-    assert _format_chain(trees) == [oracle(t) for t in trees]
+    assert _texts(trace) == [oracle(t) for t in trees]
 
 
 def _deep(levels: int):
@@ -165,18 +188,17 @@ def _deep(levels: int):
 def test_deep_tree_formats_without_recursion():
     e = _deep(10_000)
     # the innermost leaf replaced: every ancestor rebuilt
-    path = [e]
-    while _children(path[-1]):
-        path.append(_children(path[-1])[-1 if type(path[-1]) is Exp1 else 0])
-    e2 = Nat(3)
-    for parent, old in zip(reversed(path[:-1]), reversed(path)):
-        e2 = _with_children(parent, tuple(e2 if c is old else c for c in _children(parent)))
+    node, cell = e, None
+    while _children(node):
+        i = 1 if type(node) is Exp1 else 0
+        node, cell = _children(node)[i], (cell, i)
+    log = _Log(e, [(cell, Nat(3))])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(30_000)
     try:
-        want = [oracle(e), oracle(e2)]
+        want = [oracle(e), oracle(log.tree(1))]
     finally:
         sys.setrecursionlimit(limit)
     assert want[0].startswith("2 ^ (2 ^ (") and want[1] != want[0]
     assert format_expr(e) == want[0]
-    assert _format_chain([e, e2]) == want
+    assert _format_edits(e, log.edits) == want

@@ -314,6 +314,20 @@ def test_min_forced_vdw_two():
     assert (b.last_avoidable, b.first_forced) == (8, 9)
 
 
+def test_min_forced_builds_the_enumerator_once(monkeypatch):
+    # the scan enumerates every N afresh from one generated source, and a
+    # coloring check needs the other one
+    built = []
+    real = prsearch._enumerator
+    monkeypatch.setattr(prsearch, "_enumerator", lambda *a: built.append(a[1]) or real(*a))
+    cfg = parse_config(EXPCFG)
+    out = min_forced_n(cfg, 2, 2, 40)
+    assert isinstance(out, Budget) and out.reason == "n_max"
+    assert built == [False]
+    inst = check_coloring(Coloring(2, 40, 2, (0,) * 39), cfg)
+    assert inst.term_values == (2, 2, 4) and built == [False, True]
+
+
 def test_min_forced_immediately():
     # with one color the very first instance forces
     b = min_forced_n(parse_config("config {x};"), 1, 1, 3)

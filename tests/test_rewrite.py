@@ -4,7 +4,9 @@ import pytest
 
 import _walk_oracle as oracle
 from test_expr import DEEP_TREES, deep_tree, under_raised_limit
+from test_rescan_oracle import _chain
 
+from ultraexp import rewrite
 from ultraexp.expr import (
     AttrSet,
     CapExceeded,
@@ -19,7 +21,9 @@ from ultraexp.expr import (
     Var,
     eval_principal,
     parse_equation,
+    format_expr,
     parse_expr,
+    subexprs,
 )
 from ultraexp.rewrite import (
     CATALOG,
@@ -159,6 +163,44 @@ def test_trace_replay_rejects_wrong_start():
     trace = rule_trace(e)
     with pytest.raises(ValueError):
         replay_trace(parse_expr("2 + 4"), trace)
+
+
+def test_rules_and_verdicts_build_no_snapshot(monkeypatch):
+    def splice(*args):
+        raise AssertionError("a snapshot was built")
+
+    monkeypatch.setattr(rewrite, "_splice", splice)
+    e = parse_expr(_chain(50))
+    nf, trace = normalize_with_trace(e)
+    assert [s.rule for s in trace].count("SAMEBASE") == 99
+    closed = parse_expr(format_expr(nf))
+    v = prove_equal(e, closed)
+    assert isinstance(v, Equal) and [(s.side, s.rule) for s in v.trace] == [
+        ("left", s.rule) for s in trace
+    ]
+    monkeypatch.undo()
+    # read afterwards, each snapshot chains to the next and is built once
+    assert v.trace[0].before is e and v.trace[-1].after == nf
+    assert all(nxt.before is s.after for s, nxt in zip(v.trace, v.trace[1:]))
+    assert v.trace[-1].after is v.trace[-1].after
+
+
+def test_normalize_builds_nodes_linear_in_size_and_firings(monkeypatch):
+    # the 200-block chain nests 400 products deep: copying the root path at
+    # every firing built about 125,000 nodes here
+    built = []
+    real = rewrite._with_children
+
+    def with_children(e, cs):
+        built.append(e)
+        return real(e, cs)
+
+    monkeypatch.setattr(rewrite, "_with_children", with_children)
+    e = parse_expr(_chain(200))
+    _, trace = normalize_with_trace(e)
+    size = sum(1 for _ in subexprs(e))
+    assert (size, len(trace)) == (1599, 599)
+    assert len(built) <= 2 * (size + len(trace))
 
 
 # ---------------------------------------------------------------------------
