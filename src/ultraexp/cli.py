@@ -132,11 +132,7 @@ def _load_set(shorthand: str, cap: int) -> set[int]:
         b = int(shorthand[len("powers:") :])
         if b < 2:
             raise ValueError("powers base must be >= 2")
-        out, v = set(), b
-        while v <= cap:
-            out.add(v)
-            v *= b
-        return out
+        return set(numth._powers(b, cap))
     data = json.loads(_read_text(shorthand))
     if not isinstance(data, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in data

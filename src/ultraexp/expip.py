@@ -123,10 +123,14 @@ def verify_expip(A: Iterable[int], xs: Iterable[int], cap: int = DEFAULT_CAP) ->
 
 def find_expip(A: Iterable[int], depth: int, cap: int) -> ExpIPWitness | None:
     """First witness in ascending lexicographic order, or None.  Candidates
-    whose towers pass the cap are skipped: they could never be verified."""
+    whose towers pass the cap are skipped: they could never be verified.
+    Towers grow with the base, so once a candidate's tower over the largest
+    product passes max(A) or the cap, no later candidate can fit and the
+    scan at that depth stops."""
     if depth < 1:
         raise ValueError("need depth >= 1")
     members = set(A)
+    top = max(members, default=0)
     candidates = sorted(x for x in members if 2 <= x <= cap)
 
     # depth-first: entry i is candidates[tried[i]], the last entry still being
@@ -137,11 +141,13 @@ def find_expip(A: Iterable[int], depth: int, cap: int) -> ExpIPWitness | None:
         if len(tried) > depth:
             return ExpIPWitness(tuple(candidates[i] for i in tried[:-1]))
         fp = fps[-1]
+        y_max = max(fp, default=0)
         i = tried[-1] + 1
         while i < len(candidates) and not all(
             _tower(candidates[i], y, cap) in members for y in fp
         ):
-            i += 1
+            t = _tower(candidates[i], y_max, cap)
+            i = len(candidates) if t is None or t > top else i + 1
         if i < len(candidates):
             c = candidates[i]
             tried[-1] = i

@@ -170,12 +170,12 @@ def log_preimage(values, base: int) -> set[int]:
     targets = set(values)
     if not targets:
         return set()
-    top = max(targets)
-    out = set()
-    power, n = base, 1
+    return {n for n, power in enumerate(_powers(base, max(targets)), 1) if power in targets}
+
+
+def _powers(base: int, top: int):
+    """base, base**2, ... up to top (base >= 2)."""
+    power = base
     while power <= top:
-        if power in targets:
-            out.add(n)
+        yield power
         power *= base
-        n += 1
-    return out

@@ -30,6 +30,7 @@ from .expr import (
     format_expr,
     subexprs,
 )
+from .numth import _powers
 
 __all__ = [
     "Avoidable",
@@ -476,6 +477,14 @@ def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]
     return [Instance(tuple(zip(cfg.variables, v)), t) for v, t in _instances(cfg, lo, hi, None)]
 
 
+def _keys(cfg: ConfigTemplate, lo: int, hi: int, deadline: float | None = None):
+    """Each enumerated instance's distinct term values, ascending, in
+    enumeration order with repeats kept: what the search and the CNF export
+    constrain."""
+    for _, t in _instances(cfg, lo, hi, None, deadline):
+        yield tuple(sorted(set(t)))
+
+
 def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
     """First monochromatic instance in enumeration order, or None."""
     for v, t in _instances(cfg, c.lo, c.hi, c):
@@ -497,10 +506,8 @@ def _search(
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else start + budget.max_seconds
 
-    try:  # distinct sorted value tuples, in first-seen order
-        insts = list(dict.fromkeys(
-            tuple(sorted(set(t))) for _, t in _instances(cfg, lo, hi, None, deadline)
-        ))
+    try:  # distinct keys, in first-seen order
+        insts = list(dict.fromkeys(_keys(cfg, lo, hi, deadline)))
     except _OutOfTime:
         return Budget(nodes, time.monotonic() - start, "time"), nodes
 
@@ -660,9 +667,9 @@ def export_cnf(cfg: ConfigTemplate, k: int, lo: int, hi: int) -> str:
         lines.append(" ".join(map(str, range(base, base + k))) + " 0")
         lines.extend(f"-{base + c1} -{base + c2} 0" for c1 in range(k) for c2 in range(c1 + 1, k))
     count = 0
-    for _, t in _instances(cfg, lo, hi, None):
+    for key in _keys(cfg, lo, hi):
         count += 1
-        bases = [(v - lo) * k + 1 for v in sorted(set(t))]
+        bases = [(v - lo) * k + 1 for v in key]
         lines.extend(" ".join(f"-{b + c}" for b in bases) + " 0" for c in range(k))
     header = (
         f"c configuration: {format_config(cfg)}\n"
@@ -683,12 +690,7 @@ def log_transform(c: Coloring, base: int) -> Coloring:
         raise ValueError("need base >= 2")
     if base < c.lo:
         raise ValueError(f"base {base} below the coloring's range start {c.lo}")
-    hi2 = 0
-    p = base
-    while p <= c.hi:
-        hi2 += 1
-        p *= base
-    if hi2 < 1:
+    colors = tuple(c.color_of(p) for p in _powers(base, c.hi))
+    if not colors:
         raise ValueError(f"no powers of {base} inside [{c.lo}..{c.hi}]")
-    colors = tuple(c.color_of(base**n) for n in range(1, hi2 + 1))
-    return Coloring(1, hi2, c.k, colors)
+    return Coloring(1, len(colors), c.k, colors)

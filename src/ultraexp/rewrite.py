@@ -3,8 +3,8 @@
 ``normalize`` drives a fixed catalog of rewrite rules innermost-first
 (post-order, leftmost) to a fixpoint.  Every rule preserves the principal
 integer semantics and is sound for the ultrafilter extensions; every firing
-strictly decreases a lexicographic termination measure, which the engine can
-assert on demand.
+strictly decreases a lexicographic termination measure, which the tests check
+on every step of the traces they run.
 
 ``prove_equal`` compares normal forms and, when they differ, consults a small
 set of refutation oracles.  Each oracle encodes a known inequality whose
@@ -261,22 +261,6 @@ def _measure_node(e: UExpr, results, cap: int):
     return counts, _peval_node(e, [v for _, v in results], cap)
 
 
-def _measure_memo(e: UExpr, cap: int, memo: dict) -> tuple[int, int, int, int, int, int]:
-    """measure(e), where memo (id -> (node, _measure_node result)) supplies
-    the subtrees measured before and takes the rest."""
-
-    def operands(x):
-        return () if id(x) in memo else _operands(x)
-
-    def step(x, results, cap):
-        hit = memo.get(id(x))
-        if hit is None:
-            hit = memo[id(x)] = (x, _measure_node(x, results, cap))
-        return hit[1]
-
-    return _bottom_up(e, step, cap, operands)[0][:6]
-
-
 # ---------------------------------------------------------------------------
 # engine
 
@@ -370,12 +354,7 @@ class TraceStep(_Step):
         self._log, self._k, self.rule = _Log(before, [(None, after)]), 0, rule
 
 
-def normalize_with_trace(
-    e: UExpr,
-    cap: int = DEFAULT_CAP,
-    max_steps: int = MAX_STEPS,
-    check_measure: bool = False,
-) -> tuple[UExpr, tuple[TraceStep, ...]]:
+def normalize_with_trace(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[UExpr, tuple[TraceStep, ...]]:
     """Normal form and firing sequence, in one bottom-up pass.
 
     Children are normalized left to right, then the catalog is tried at the
@@ -384,15 +363,12 @@ def normalize_with_trace(
     without revisiting subtrees already found normal.  A firing is recorded
     as its rule, the cell of its position and the replacement, in time
     independent of the tree; the steps' whole-tree snapshots are built only
-    when read (see ``TraceStep``).  With ``check_measure`` every snapshot is
-    built and measured, memoized by node, so a firing measures only the
-    nodes it rebuilt.
+    when read (see ``TraceStep``).  More than ``MAX_STEPS`` firings raise
+    RuleLimitExceeded.
     """
     rules: list[str] = []
     log = _Log(e, [])
     settled: dict[int, UExpr] = {}  # normal subtrees, held so ids stay unique
-    measured: dict[int, tuple] = {}  # id -> (node, _measure_node result)
-    last = _measure_memo(e, cap, measured) if check_measure else None
     # [node, its children with the normalized ones first, next child index,
     # cell] for each node from the root down to the one being normalized
     path = [[e, [*_children(e)], 0, None]]
@@ -410,17 +386,8 @@ def normalize_with_trace(
             if out is not None:
                 log.edits.append((cell, out))
                 rules.append(rid)
-                if check_measure:
-                    n = len(rules)
-                    m = _measure_memo(log.tree(n), cap, measured)
-                    if not m < last:
-                        raise AssertionError(
-                            f"measure did not decrease for {rid}: {log.tree(n - 1)} -> "
-                            f"{log.tree(n)} ({last} -> {m})"
-                        )
-                    last = m
-                if len(rules) > max_steps:
-                    raise RuleLimitExceeded(f"more than {max_steps} rewrites from {e}")
+                if len(rules) > MAX_STEPS:
+                    raise RuleLimitExceeded(f"more than {MAX_STEPS} rewrites from {e}")
                 path[-1] = [out, [*_children(out)], 0, cell]
                 continue
             settled[id(node)] = node
@@ -431,21 +398,14 @@ def normalize_with_trace(
         path[-1][2] += 1
 
 
-def normalize(
-    e: UExpr,
-    cap: int = DEFAULT_CAP,
-    max_steps: int = MAX_STEPS,
-    check_measure: bool = False,
-) -> UExpr:
+def normalize(e: UExpr, cap: int = DEFAULT_CAP) -> UExpr:
     """Unique normal form under the rule catalog (innermost-first fixpoint)."""
-    return normalize_with_trace(e, cap, max_steps, check_measure)[0]
+    return normalize_with_trace(e, cap)[0]
 
 
-def rule_trace(
-    e: UExpr, cap: int = DEFAULT_CAP, max_steps: int = MAX_STEPS
-) -> tuple[TraceStep, ...]:
+def rule_trace(e: UExpr, cap: int = DEFAULT_CAP) -> tuple[TraceStep, ...]:
     """The exact firing sequence normalize performs, as whole-tree snapshots."""
-    return normalize_with_trace(e, cap, max_steps)[1]
+    return normalize_with_trace(e, cap)[1]
 
 
 def replay_trace(e: UExpr, trace) -> UExpr:

@@ -15,7 +15,7 @@ from test_parse_oracle import _corrupt
 jsonschema = pytest.importorskip("jsonschema")
 
 import ultraexp
-from ultraexp import cli, prsearch, rewrite
+from ultraexp import cli, expip, prsearch, rewrite
 from ultraexp.cli import (
     EX_DATA,
     EX_INCONCLUSIVE,
@@ -265,6 +265,23 @@ def test_expip_find_none(capsys, files):
         capsys, ["expip-find", "--set", str(files / "five.json"), "--depth", "2"]
     )
     assert (rc, out) == (EX_NEGATIVE, "no witness\n")
+
+
+def test_expip_find_stops_once_no_candidate_fits(capsys, monkeypatch):
+    # a depth's scan ends at the first candidate whose tower over the largest
+    # product passes max(A): about two towers per member, not one per pair
+    calls = 0
+    real = expip._tower
+
+    def tower(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(expip, "_tower", tower)
+    rc, out, _ = invoke(capsys, ["expip-find", "--set", "interval:2..1000", "--depth", "6"])
+    assert (rc, out) == (EX_NEGATIVE, "no witness\n")
+    assert 0 < calls <= 3 * 999
 
 
 def test_expip_verify_accept(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import _expip_oracle
 from ultraexp.expip import (
     Accepted,
     ExpIPWitness,
@@ -163,3 +164,35 @@ def test_verify_monotone_in_set():
             continue
         bigger = A | {rng.randint(2, 1000) for _ in range(5)}
         assert verify_expip(bigger, list(w.xs), cap=cap) == Accepted()
+
+
+def _expip_corpus():
+    """Seeded (set, depth, cap) cases: small random sets, unions of powers
+    with noise (where most witnesses are), and intervals, under caps small
+    enough to cut some towers off."""
+    rng = random.Random(34)
+    for i in range(600):
+        cap = rng.choice((1 << 8, 1 << 16, 1 << 40))
+        match i % 3:
+            case 0:
+                A = {rng.randint(1, 60) for _ in range(rng.randint(0, 25))}
+            case 1:
+                A = {b**e for b in rng.sample(range(2, 12), rng.randint(1, 3))
+                     for e in range(1, rng.randint(2, 40))}
+                A |= {rng.randint(2, 5000) for _ in range(rng.randint(0, 30))}
+            case 2:
+                A = set(range(rng.randint(1, 5), rng.randint(5, 120)))
+        yield A, rng.randint(1, 5), cap
+
+
+def test_find_matches_the_oracle_on_a_seeded_corpus():
+    found = none = 0
+    for A, depth, cap in _expip_corpus():
+        w = find_expip(A, depth, cap)
+        assert w == _expip_oracle.find_expip(A, depth, cap), (sorted(A), depth, cap)
+        if w is None:
+            none += 1
+        else:
+            found += 1
+            assert w.depth == depth and verify_expip(A, list(w.xs), cap) == Accepted()
+    assert found > 150 and none > 150

@@ -9,6 +9,7 @@ log, whatever the edits replace.
 import dataclasses
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -30,6 +31,7 @@ from ultraexp.expr import (
     format_expr,
     parse_expr,
 )
+from ultraexp import rewrite
 from ultraexp.rewrite import RuleLimitExceeded, _Log, normalize_with_trace
 
 oracle = _fmt_oracle.format_expr
@@ -52,13 +54,13 @@ def test_random_traces_match_recursive_formatter():
     for i in range(3000):
         e = _rand_tree(rng, rng.randint(2, 5), with_vars=i % 3 != 0, shared=[])
         kw = {}
-        if i % 10 == 0:
-            kw["max_steps"] = rng.randint(0, 4)
+        max_steps = rng.randint(0, 4) if i % 10 == 0 else rewrite.MAX_STEPS
         if i % 7 == 0:
             kw["cap"] = 1 << 16
         assert format_expr(e) == oracle(e)
         try:
-            _, trace = normalize_with_trace(e, **kw)
+            with mock.patch.object(rewrite, "MAX_STEPS", max_steps):
+                _, trace = normalize_with_trace(e, **kw)
         except (CapExceeded, RuleLimitExceeded):
             continue
         if not trace:

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -45,8 +46,20 @@ from ultraexp.rewrite import (
 NP = AttrSet(nonprincipal=True)
 
 
+def assert_measure_decreases(trace) -> None:
+    """Every firing of a trace strictly lowers the termination measure."""
+    for s in trace:
+        before, after = measure(s.before), measure(s.after)
+        assert after < before, (
+            f"measure did not decrease for {s.rule}: {s.before} -> {s.after} "
+            f"({before} -> {after})"
+        )
+
+
 def norm(text: str):
-    return normalize(parse_expr(text), check_measure=True)
+    nf, trace = normalize_with_trace(parse_expr(text))
+    assert_measure_decreases(trace)
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +148,8 @@ def test_normalize_cap():
 
 
 def test_rule_budget():
-    with pytest.raises(RuleLimitExceeded):
-        normalize_with_trace(parse_expr("2 + 3"), max_steps=0)
+    with mock.patch.object(rewrite, "MAX_STEPS", 0), pytest.raises(RuleLimitExceeded):
+        normalize_with_trace(parse_expr("2 + 3"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +250,10 @@ def test_measure_decreases_on_every_firing_fuzz():
     for _ in range(2500):
         e = _rand_tree(rng, 4)
         try:
-            _, trace = normalize_with_trace(e, check_measure=True)
+            _, trace = normalize_with_trace(e)
         except CapExceeded:
             continue
+        assert_measure_decreases(trace)
         fired += len(trace)
     assert fired > 2000  # the fuzz actually exercised the rules
 
