@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 
+import _rescan
 import _walk_oracle as oracle
 from test_expr import DEEP_TREES, deep_tree, under_raised_limit
 from test_rescan_oracle import _chain
@@ -56,10 +57,23 @@ def assert_measure_decreases(trace) -> None:
         )
 
 
-def norm(text: str):
-    nf, trace = normalize_with_trace(parse_expr(text))
+def measured_trace(e):
+    """normalize_with_trace(e), with every firing checked to lower the
+    measure.  When the engine raises, the rescanning oracle, which fires the
+    same sequence, replays e with its own check on, so the firings before
+    the raise are measured too."""
+    try:
+        nf, trace = normalize_with_trace(e)
+    except (CapExceeded, RuleLimitExceeded) as exc:
+        with pytest.raises(type(exc)):
+            _rescan.normalize_with_trace(e, check_measure=True)
+        raise
     assert_measure_decreases(trace)
-    return nf
+    return nf, trace
+
+
+def norm(text: str):
+    return measured_trace(parse_expr(text))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +264,9 @@ def test_measure_decreases_on_every_firing_fuzz():
     for _ in range(2500):
         e = _rand_tree(rng, 4)
         try:
-            _, trace = normalize_with_trace(e)
+            _, trace = measured_trace(e)
         except CapExceeded:
             continue
-        assert_measure_decreases(trace)
         fired += len(trace)
     assert fired > 2000  # the fuzz actually exercised the rules
 
