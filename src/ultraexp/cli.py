@@ -6,7 +6,7 @@ Exit codes (total classification, also in the README):
   1   negative verdict: not-equal, forced, monochromatic instance found,
       reject, no witness after exhausting candidates
   2   inconclusive: budget exhausted, unknown verdict, value past the cap,
-      out of memory
+      rewrite step limit hit, out of memory
   64  usage errors (bad flags or argument syntax)
   65  malformed input data (unparseable expressions, configs, or files;
       domain errors such as numfn F 1)

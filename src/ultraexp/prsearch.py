@@ -340,27 +340,31 @@ def _power(x: int, y: int, sat: int, bits: int) -> int:
 _OPS = {Sum: "{} + {}", Prod: "min({} * {}, sat)", Exp1: "_power({}, {}, sat, bits)"}
 _compile = functools.lru_cache(maxsize=64)(compile)  # one code object per source
 _LOOPS = 16  # loops per generated function: CPython nests at most 20 blocks
+_SORTED_INLINE = 8  # most terms whose key a sorting network builds
 
 
 def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
-               deadline: float | None = None):
+               deadline: float | None = None, keys: bool = False):
     """Depth-first lexicographic enumeration, variables assigned in
     declaration order, optionally restricted to instances monochromatic
     under ``coloring`` (pruned, same order), as (values, term_values) tuples.
+    With ``keys`` each instance comes out instead as its key: its distinct
+    term values, ascending, which is what the search and the CNF export
+    constrain.  Repeats are kept, in enumeration order.
 
     Runs the generated source of ``_enumerator``, built once per
-    configuration object and coloring mode, in an environment holding this
-    call's range, literal table and colors.  Every 1024 candidates the
-    clock is read against ``deadline`` (time.monotonic), raising
-    _OutOfTime once it has passed.
+    configuration object and mode, in an environment holding this call's
+    range, literal table and colors.  Every 1024 candidates the clock is
+    read against ``deadline`` (time.monotonic), raising _OutOfTime once it
+    has passed.
     """
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
     colored = coloring is not None
     plans = cfg._enumerators
-    if colored not in plans:
-        plans[colored] = _enumerator(cfg, colored)
-    src, floors, nats = plans[colored]
+    if (colored, keys) not in plans:
+        plans[colored, keys] = _enumerator(cfg, colored, keys)
+    src, floors, nats = plans[colored, keys]
     lit = tuple(max(lo, f) for f in floors) + tuple(min(v, hi + 1) for v in nats)
     env = {"_power": _power, "_OutOfTime": _OutOfTime, "monotonic": time.monotonic,
            "deadline": float("inf") if deadline is None else deadline,
@@ -370,7 +374,42 @@ def _instances(cfg: ConfigTemplate, lo: int, hi: int, coloring: Coloring | None,
     yield from env["g0"]((), (), -1, 0)
 
 
-def _enumerator(cfg: ConfigTemplate, colored: bool) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+def _sorting_network(m: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort on m slots, as the (i, j), i < j,
+    compare-and-swap pairs that sort them in the order given."""
+    pairs = []
+    p = 1
+    while p < m:
+        k = p
+        while k:
+            for j in range(k % p, m - k, 2 * k):
+                for i in range(min(k, m - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
+def _key_lines(held: list[str], pad: str) -> list[str]:
+    """Source yielding the key of the term values read from ``held``:
+    compare-and-swap lines sort copies s0.. of them, and, sorted, any
+    duplicates sit side by side for dict.fromkeys to drop.  Past
+    _SORTED_INLINE terms the network grows long, and one sorted() call
+    does the work."""
+    if len(held) == 1:
+        return [f"{pad}yield ({held[0]},)"]
+    if len(held) > _SORTED_INLINE:
+        return [f"{pad}yield tuple(sorted({{{', '.join(held)}}}))"]
+    s = [f"s{i}" for i in range(len(held))]
+    out = [f"{pad}{', '.join(s)} = {', '.join(held)}"]
+    out += [f"{pad}if s{i} > s{j}: s{i}, s{j} = s{j}, s{i}" for i, j in _sorting_network(len(s))]
+    return out + [f"{pad}if {' < '.join(s)}: yield ({', '.join(s)})",
+                  f"{pad}else: yield tuple(dict.fromkeys(({', '.join(s)})))"]
+
+
+def _enumerator(cfg: ConfigTemplate, colored: bool,
+                keys: bool) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """(source, floors, literals) of ``_instances``'s enumeration: the
     source reads its bounds and literals from a table ``lit``, whose first
     entries are the variables' minimums, max(lo, floor), and whose rest
@@ -383,7 +422,9 @@ def _enumerator(cfg: ConfigTemplate, colored: bool) -> tuple[str, tuple[int, ...
     values.  It evaluates each term holding its variable, later variables
     at their minimum (a live lower bound: terms are monotone).  A term past
     hi ends the loop; a completed term below lo, or, when ``colored``, off
-    the color of the first completed term, skips the value.
+    the color of the first completed term, skips the value.  The innermost
+    body yields (values, term values), or with ``keys`` the key that
+    ``_key_lines`` builds from the term values.
     """
     index = {v: i for i, v in enumerate(cfg.variables)}
     n = len(index)
@@ -460,8 +501,11 @@ def _enumerator(cfg: ConfigTemplate, colored: bool) -> tuple[str, tuple[int, ...
                                     else f"{pad}if colors[{x} - lo] != c: continue")
         values = ("pre + " if s else "") + f"({''.join(f'v{d}, ' for d in range(s, e))})"
         terms = f"({''.join(h + ', ' for h in held)})"
-        body.append("    " * (e - s + 1) + (f"yield {values}, {terms}" if e == n else
-                                            f"tick = yield from g{e}({values}, {terms}, c, tick)"))
+        pad = "    " * (e - s + 1)
+        if e < n:
+            body.append(f"{pad}tick = yield from g{e}({values}, {terms}, c, tick)")
+        else:
+            body += _key_lines(held, pad) if keys else [f"{pad}yield {values}, {terms}"]
         held = [f"tvs[{j}]" for j in range(len(held))]
         # the variables of earlier functions that this one reads, from its tuple
         earlier = {int(i) for i in re.findall(r"\bv(\d+)", "\n".join(body) if s else "")}
@@ -475,14 +519,6 @@ def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]
     lexicographic binding order.  Bindings pushing any term past hi are
     skipped (never clamped)."""
     return [Instance(tuple(zip(cfg.variables, v)), t) for v, t in _instances(cfg, lo, hi, None)]
-
-
-def _keys(cfg: ConfigTemplate, lo: int, hi: int, deadline: float | None = None):
-    """Each enumerated instance's distinct term values, ascending, in
-    enumeration order with repeats kept: what the search and the CNF export
-    constrain."""
-    for _, t in _instances(cfg, lo, hi, None, deadline):
-        yield tuple(sorted(set(t)))
 
 
 def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
@@ -507,7 +543,7 @@ def _search(
     deadline = None if budget.max_seconds is None else start + budget.max_seconds
 
     try:  # distinct keys, in first-seen order
-        insts = list(dict.fromkeys(_keys(cfg, lo, hi, deadline)))
+        insts = dict.fromkeys(_instances(cfg, lo, hi, None, deadline, keys=True))
     except _OutOfTime:
         return Budget(nodes, time.monotonic() - start, "time"), nodes
 
@@ -523,11 +559,11 @@ def _search(
     # is p, and ((), -1) for a one-position instance at p.
     closes: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(npos)]
     for key in insts:
-        pis = [pos_of[v] for v in key]
-        if len(pis) == 1:
-            closes[pis[0]].append(((), -1))
+        if len(key) == 1:
+            closes[pos_of[key[0]]].append(((), -1))
         else:
-            closes[pis[-2]].append((tuple(pis[:-2]), pis[-1]))
+            *below, second, top = map(pos_of.__getitem__, key)
+            closes[second].append((tuple(below), top))
     if deadline is not None and time.monotonic() > deadline:
         return Budget(nodes, time.monotonic() - start, "time"), nodes
 
@@ -657,7 +693,8 @@ def export_cnf(cfg: ConfigTemplate, k: int, lo: int, hi: int) -> str:
 
     Variable v(n,c) = (n-lo)*k + c + 1.  Per position: one at-least-one
     clause and pairwise at-most-one clauses.  Per enumerated instance
-    (repeats kept) and color: one clause barring its term values that color.
+    (repeats kept) and color: one clause barring its term values that color,
+    joined from a table of the literals -v(n,c), built once per export.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -666,11 +703,12 @@ def export_cnf(cfg: ConfigTemplate, k: int, lo: int, hi: int) -> str:
     for base in range(1, width * k + 1, k):  # var(n, 0) of each position n
         lines.append(" ".join(map(str, range(base, base + k))) + " 0")
         lines.extend(f"-{base + c1} -{base + c2} 0" for c1 in range(k) for c2 in range(c1 + 1, k))
+    negs = [{v: f"-{(v - lo) * k + c + 1}" for v in range(lo, hi + 1)} for c in range(k)]
     count = 0
-    for key in _keys(cfg, lo, hi):
+    for key in _instances(cfg, lo, hi, None, keys=True):
         count += 1
-        bases = [(v - lo) * k + 1 for v in key]
-        lines.extend(" ".join(f"-{b + c}" for b in bases) + " 0" for c in range(k))
+        for n in negs:
+            lines.append(" ".join([n[v] for v in key]) + " 0")
     header = (
         f"c configuration: {format_config(cfg)}\n"
         f"c range [{lo}..{hi}], {k} colors, {count} instances\n"

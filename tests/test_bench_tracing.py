@@ -63,3 +63,11 @@ def test_avoid_counts_instances_and_forced_nodes(capsys, schur):
     assert rc == cli.EX_NEGATIVE
     assert counts["prsearch.instances"] == 5 * 4 // 2
     assert counts["prsearch.avoid.forced_nodes"] == want.nodes_explored > 0
+
+
+def test_min_scan_counts_instances_of_every_n(capsys, schur):
+    rc, counts = traced(capsys, ["pr-min", "--config", schur, "-k", "2", "--max", "10"])
+    assert rc == cli.EX_OK
+    assert counts["prsearch.min_forced.n_scanned"] == 5
+    # the scan enumerates Schur on [1..N] afresh for N = 1..5
+    assert counts["prsearch.instances"] == 0 + 1 + 3 + 6 + 10 == 20

@@ -328,6 +328,21 @@ def test_min_forced_builds_the_enumerator_once(monkeypatch):
     assert inst.term_values == (2, 2, 4) and built == [False, True]
 
 
+def test_key_source_is_built_once_and_shared(monkeypatch):
+    # a scan over 14 N, an export and a search on one configuration object
+    # all read their keys from one generated source
+    built = []
+    real = prsearch._enumerator
+    monkeypatch.setattr(prsearch, "_enumerator", lambda *a: built.append(a[1:]) or real(*a))
+    cfg = parse_config(SCHUR)
+    out = min_forced_n(cfg, 3, 1, 30)
+    assert isinstance(out, Boundary) and out.first_forced == 14
+    assert built == [(False, True)]
+    export_cnf(cfg, 2, 1, 20)
+    assert isinstance(find_avoiding_coloring(cfg, 2, 1, 20), Forced)
+    assert built == [(False, True)]
+
+
 def test_min_forced_immediately():
     # with one color the very first instance forces
     b = min_forced_n(parse_config("config {x};"), 1, 1, 3)
@@ -363,8 +378,8 @@ def _clock_passes_after_enumeration(monkeypatch, reads: int) -> None:
     done = []
     left = [reads]
 
-    def instances(*args):
-        yield from real(*args)
+    def instances(*args, **kwargs):
+        yield from real(*args, **kwargs)
         done.append(True)
 
     def monotonic():

@@ -35,16 +35,18 @@ MULT = "config {x, y, x * y};"
 
 @pytest.fixture
 def enumerate_once(monkeypatch):
-    """Both colorers read one memoized enumeration per range, so a sweep pays
-    for it once; the enumerator is checked against its own oracle elsewhere.
-    The sweeps give no time budget, so the deadline is never read."""
+    """Both colorers read one memoized enumeration per range and mode (the
+    new one reads keys, the oracle (values, term_values) pairs), so a sweep
+    pays for it once; the enumerator is checked against its own oracle
+    elsewhere.  The sweeps give no time budget, so the deadline is never
+    read."""
     real, memo = prsearch._instances, {}
 
-    def instances(cfg, lo, hi, coloring, deadline=None):
+    def instances(cfg, lo, hi, coloring, deadline=None, keys=False):
         assert coloring is None
-        if (cfg, lo, hi) not in memo:
-            memo[cfg, lo, hi] = list(real(cfg, lo, hi, None))
-        return iter(memo[cfg, lo, hi])
+        if (cfg, lo, hi, keys) not in memo:
+            memo[cfg, lo, hi, keys] = list(real(cfg, lo, hi, None, keys=keys))
+        return iter(memo[cfg, lo, hi, keys])
 
     monkeypatch.setattr(prsearch, "_instances", instances)
     monkeypatch.setattr(_search_oracle, "_instances", instances)
