@@ -10,11 +10,18 @@ Exit codes (total classification, also in the README):
   64  usage errors (bad flags or argument syntax)
   65  malformed input data (unparseable expressions, configs, or files;
       domain errors such as numfn F 1)
+  74  output closed before it was all written (the reader of stdout exited)
 
 Every subcommand accepts --json.  --cap (value ceiling) is taken by normalize,
 prove, eval, logpre, expip-find and expip-verify.  pr-min and pr-avoid take
 --budget-nodes (DFS nodes only) and --budget-secs (wall time, instance
 enumeration included).
+
+pr-min and pr-avoid share one search that grows its bound and continues
+from the last witness: pr-min files the instances of each N in turn, and
+pr-avoid those of [lo..lo+15], [lo..lo+255], ... up to hi, stopping at
+the first forced bound.  --budget-nodes and "forced (nodes=N)" count the
+nodes of that whole search.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -39,13 +47,15 @@ from .expr import (
     parse_expr,
 )
 
-__all__ = ["EX_OK", "EX_NEGATIVE", "EX_INCONCLUSIVE", "EX_USAGE", "EX_DATA", "SCHEMAS", "load_schema", "main", "run"]
+__all__ = ["EX_OK", "EX_NEGATIVE", "EX_INCONCLUSIVE", "EX_USAGE", "EX_DATA", "EX_IOERR", "SCHEMAS", "load_schema",
+           "main", "run"]
 
 EX_OK = 0
 EX_NEGATIVE = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_IOERR = 74
 
 # subcommand -> schema file its --json payload validates against
 SCHEMAS = {
@@ -395,7 +405,8 @@ def _build_parser() -> _ArgParser:
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--cap", type=_intarg, default=DEFAULT_CAP, help="value ceiling (default 2^64; 1e18 accepted)")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-nodes", type=int, default=None, help="search node budget (DFS nodes only)")
+    budget.add_argument("--budget-nodes", type=int, default=None,
+                        help="search node budget (DFS nodes only, across the whole search)")
     budget.add_argument("--budget-secs", type=_secs, default=None, help="time budget, instance enumeration included")
 
     p = _ArgParser(prog="ultraexp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -425,13 +436,14 @@ def _build_parser() -> _ArgParser:
     sp.add_argument("--base", type=int, required=True)
     sp.add_argument("--set", required=True, help="JSON array file, interval:a..b, or powers:b")
 
-    sp = add("pr-min", _cmd_pr_min, budget, help="scan N for the first forced [lo..N]")
+    sp = add("pr-min", _cmd_pr_min, budget, help="scan N for the first forced [lo..N], continuing one search")
     sp.add_argument("--config", required=True, help="config DSL file")
     sp.add_argument("-k", type=int, required=True, help="number of colors")
     sp.add_argument("--lo", type=int, default=1)
     sp.add_argument("--max", type=int, required=True, help="largest N to try")
 
-    sp = add("pr-avoid", _cmd_pr_avoid, budget, help="search for an avoiding coloring of [lo..hi]")
+    sp = add("pr-avoid", _cmd_pr_avoid, budget,
+             help="search for an avoiding coloring of [lo..hi], bound by growing bound")
     sp.add_argument("--config", required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--lo", type=int, default=1)
@@ -482,10 +494,21 @@ def run(argv: list[str]) -> int:
     except ParseError as e:
         print(f"ultraexp: parse error at byte {e.offset}: {e}", file=sys.stderr)
         return EX_DATA
+    except BrokenPipeError as e:  # before OSError: the output's reader is gone
+        print(f"ultraexp: output closed: {e}", file=sys.stderr)
+        return EX_IOERR
     except (EvalError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"ultraexp: {e}", file=sys.stderr)
         return EX_DATA
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    rc = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: point it at the null device, so that the
+        # interpreter's own flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = EX_IOERR
+    sys.exit(rc)

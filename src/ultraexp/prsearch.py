@@ -15,6 +15,8 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .expr import (
     Exp1,
@@ -155,6 +157,14 @@ class Coloring:
         if min(used) < 0 or max(used) >= self.k:
             raise ValueError("color indices must lie in [0..k-1]")
 
+    @classmethod
+    def _unchecked(cls, lo: int, hi: int, k: int, colors: tuple[int, ...]) -> "Coloring":
+        """A coloring whose fields the caller builds valid, made without
+        ``__post_init__``'s passes over every color."""
+        c = object.__new__(cls)
+        c.__dict__.update(lo=lo, hi=hi, k=k, colors=colors)
+        return c
+
     def color_of(self, n: int) -> int:
         if not (self.lo <= n <= self.hi):
             raise ValueError(f"{n} outside [{self.lo}..{self.hi}]")
@@ -173,7 +183,7 @@ class Coloring:
         return cls(d["lo"], d["hi"], d["k"], tuple(d["colors"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     binding: tuple[tuple[str, int], ...]
     term_values: tuple[int, ...]
@@ -514,11 +524,32 @@ def _enumerator(cfg: ConfigTemplate, colored: bool,
     return "\n".join(src), tuple(floors), tuple(nats)
 
 
+class _Shared(dict):
+    """Hands back the first copy stored of each key."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
 def enumerate_instances(cfg: ConfigTemplate, lo: int, hi: int) -> list[Instance]:
     """All satisfying bindings with every term value in [lo..hi], in
     lexicographic binding order.  Bindings pushing any term past hi are
-    skipped (never clamped)."""
-    return [Instance(tuple(zip(cfg.variables, v)), t) for v, t in _instances(cfg, lo, hi, None)]
+    skipped (never clamped).
+
+    Each Instance gets its two slots set directly: the frozen dataclass's
+    ``__init__`` would cost more than the enumeration itself.  Bindings
+    share one (name, value) tuple per pair, which spares the collector
+    most of the objects it would otherwise track."""
+    names, new, pair = cfg.variables, object.__new__, _Shared().__getitem__
+    set_binding, set_terms = Instance.binding.__set__, Instance.term_values.__set__
+    out = []
+    for values, terms in _instances(cfg, lo, hi, None):
+        inst = new(Instance)
+        set_binding(inst, tuple(map(pair, zip(names, values))))
+        set_terms(inst, terms)
+        out.append(inst)
+    return out
 
 
 def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
@@ -531,105 +562,186 @@ def check_coloring(c: Coloring, cfg: ConfigTemplate) -> Instance | None:
 # ---------------------------------------------------------------------------
 # backtracking search
 
-def _search(
-    cfg: ConfigTemplate, k: int, lo: int, hi: int, budget: SearchBudget,
-    start: float, nodes: int = 0,
-) -> tuple[SearchOutcome, int]:
-    """One search whose budget counts from ``start`` (time.monotonic) and
-    from ``nodes`` DFS nodes already spent; returns the total node count."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    max_nodes = budget.max_nodes
-    deadline = None if budget.max_seconds is None else start + budget.max_seconds
+_AVOID_GROWTH = 16  # find_avoiding_coloring files [lo..lo - 1 + 16^i], i = 1, 2, ...
+_SCAN_GROWTH = 2  # min_forced_n enumerates [lo..lo - 1 + 2^i], i = 1, 2, ..., ahead of its N
 
-    try:  # distinct keys, in first-seen order
-        insts = dict.fromkeys(_instances(cfg, lo, hi, None, deadline, keys=True))
-    except _OutOfTime:
-        return Budget(nodes, time.monotonic() - start, "time"), nodes
 
-    values = sorted({v for key in insts for v in key})
-    if not insts:
-        witness = Coloring(lo, hi, k, (0,) * (hi - lo + 1))
-        return Avoidable(witness), nodes
-    pos_of = {v: i for i, v in enumerate(values)}
-    npos = len(values)
-    # Positions are colored in ascending order, so an instance's colors are
-    # all known once its second-largest position is: closes[p] holds (the
-    # positions below p, the largest) for the instances whose second-largest
-    # is p, and ((), -1) for a one-position instance at p.
-    closes: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(npos)]
-    for key in insts:
-        if len(key) == 1:
-            closes[pos_of[key[0]]].append(((), -1))
-        else:
-            *below, second, top = map(pos_of.__getitem__, key)
-            closes[second].append((tuple(below), top))
-    if deadline is not None and time.monotonic() > deadline:
-        return Budget(nodes, time.monotonic() - start, "time"), nodes
+class _Colorer:
+    """The resumable DFS behind ``find_avoiding_coloring`` and ``min_forced_n``.
 
-    assignment = [-1] * npos
-    forbid = [0] * npos      # bitmask of colors ruled out by nearly-mono instances
-    full = (1 << k) - 1
+    Positions are colored in the order of their first appearance in an
+    instance as the bound grows, ties ascending (for Schur and van der
+    Waerden configurations, ascending order).  An instance's largest value
+    is its last position in that order, so its colors are all known once
+    its second-to-last position is colored, and it is filed there:
+    ``closes[p]`` holds (the positions below p, the largest) for the
+    instances whose second-to-last position is p, and ((), -1) for a
+    one-position instance at p.
 
-    def apply(pi: int, c: int, trail: list) -> bool:
-        """Color pi with c; forbid c at the last open position of each
-        instance pi leaves one short of monochromatic."""
-        assignment[pi] = c
-        for below, top in closes[pi]:
-            for q in below:
-                if assignment[q] != c:
-                    break
-            else:
-                if top < 0:
-                    return False  # a one-position instance is always mono
-                old = forbid[top]
-                trail.append((top, old))
-                forbid[top] = old | 1 << c
-                if forbid[top] == full:
-                    return False  # wiped out the last open color
-        return True
+    ``file`` adds the instances whose largest value passed the last bound;
+    ``run`` then continues the DFS from the witness of that bound.  Every
+    prefix refuted under fewer instances stays refuted under more, so the
+    witness found is the first, in this order, that a search from scratch
+    finds.  Nodes and the deadline count across every bound.
+    """
 
-    def undo(trail: list) -> None:
-        for pi, old in reversed(trail):
-            forbid[pi] = old
+    def __init__(self, cfg: ConfigTemplate, k: int, lo: int, budget: SearchBudget, start: float):
+        self.cfg, self.k, self.lo, self.start = cfg, k, lo, start
+        self.max_nodes = budget.max_nodes
+        self.deadline = None if budget.max_seconds is None else start + budget.max_seconds
+        self.bound = lo - 1  # every instance inside [lo..bound] is filed
+        self.order: list[int] = []  # position -> value
+        self.pos_of: dict[int, int] = {}
+        self.closes: list[list[tuple[tuple[int, ...], int]]] = []
+        self.assignment: list[int] = []
+        self.forbid: list[int] = []  # bitmask of colors ruled out by nearly-mono instances
+        self.stack: list[tuple[list, int, int]] = []  # (trail, color, previous max color)
+        self.max_color = -1
+        self.d = self.c = 0  # where the DFS resumes
+        self.nodes = 0
 
-    stack: list[tuple[list, int, int]] = []  # (trail, color, previous max color)
-    max_color = -1
-    d, c = 0, 0
-    while True:
-        cap = min(k - 1, max_color + 1)
-        descended = False
-        while c <= cap:
-            if not forbid[d] >> c & 1:
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    return Budget(nodes, time.monotonic() - start, "nodes"), nodes
-                if deadline is not None and nodes % 1024 == 0:
-                    if time.monotonic() > deadline:
-                        return Budget(nodes, time.monotonic() - start, "time"), nodes
-                trail: list = []
-                if apply(d, c, trail):
-                    stack.append((trail, c, max_color))
-                    max_color = max(max_color, c)
-                    descended = True
-                    break
-                undo(trail)
-            c += 1
-        if descended:
-            d += 1
-            c = 0
-            if d == npos:
-                colors = [0] * (hi - lo + 1)
-                for pi, v in enumerate(values):
-                    colors[v - lo] = assignment[pi]
-                return Avoidable(Coloring(lo, hi, k, tuple(colors))), nodes
-        else:
-            if not stack:
-                return Forced(nodes), nodes
-            d -= 1
-            trail, c, max_color = stack.pop()
-            undo(trail)
-            c += 1
+    def stop(self, reason: str) -> Budget:
+        return Budget(self.nodes, time.monotonic() - self.start, reason)
+
+    def keys(self, bound: int) -> list[tuple[int, ...]]:
+        """The distinct keys of [lo..bound] whose largest value passed the
+        last bound; raises _OutOfTime once the deadline has passed."""
+        keys = dict.fromkeys(_instances(self.cfg, self.lo, bound, None, self.deadline, keys=True))
+        last, self.bound = self.bound, bound
+        return list(keys) if last < self.lo else [key for key in keys if key[-1] > last]
+
+    def file(self, batch: list[tuple[int, ...]]) -> None:
+        """File new keys with a search standing at a witness: their new
+        positions go to the end of the order, and a key whose positions
+        below its largest are all colored c forbids c at its largest at
+        once, in the trail of its second-to-last position's depth.  Forbids
+        go in by ascending depth, so every trail still undoes last in, first
+        out; the first depth whose forbid leaves a position no color is
+        where the DFS resumes, with the next color."""
+        pos_of, order, closes, assignment = self.pos_of, self.order, self.closes, self.assignment
+        fresh = set(chain.from_iterable(batch)).difference(pos_of)
+        tops = set(map(itemgetter(-1), batch))
+        late = fresh.difference(tops)  # no new key's largest value: they first appear inside one
+        first: dict[int, int] = {}  # a late value -> the least largest value of a key holding it
+        if late and len(tops) > 1:
+            for key in batch:
+                if not late.isdisjoint(key):
+                    for v in late.intersection(key):
+                        if first.get(v, key[-1]) >= key[-1]:
+                            first[v] = key[-1]
+        for v in sorted(fresh, key=lambda v: (first.get(v, v), v)) if first else sorted(fresh):
+            pos_of[v] = len(order)
+            order.append(v)
+        grow = len(order) - len(closes)
+        closes += [[] for _ in range(grow)]
+        assignment += [-1] * grow
+        self.forbid += [0] * grow
+
+        colored = len(self.stack)
+        now = []  # (depth, position, color) of the forbids that apply at once
+        get = pos_of.__getitem__
+        for key in batch:
+            idx = sorted(map(get, key))
+            top = idx.pop()
+            if not idx:
+                closes[top].append(((), -1))
+                continue
+            second = idx.pop()
+            below = tuple(idx)  # a tuple of ints, which the collector stops tracking
+            closes[second].append((below, top))
+            if second < colored:
+                c = assignment[second]
+                for q in below:
+                    if assignment[q] != c:
+                        break
+                else:
+                    now.append((second, top, c))
+        full = (1 << self.k) - 1
+        forbid, stack = self.forbid, self.stack
+        for s, top, c in sorted(now):
+            old = forbid[top]
+            stack[s][0].append((top, old))
+            forbid[top] = old | 1 << c
+            if forbid[top] == full:
+                while len(stack) > s:
+                    trail, c, self.max_color = stack.pop()
+                    for pi, old in reversed(trail):
+                        forbid[pi] = old
+                self.d, self.c = s, c + 1
+                return
+
+    def run(self) -> str:
+        """Continue the DFS: "avoidable" at a witness of every filed
+        instance, else "forced", "nodes" or "time"."""
+        k, max_nodes, deadline = self.k, self.max_nodes, self.deadline
+        assignment, forbid, closes, stack = self.assignment, self.forbid, self.closes, self.stack
+        npos = len(assignment)
+        full = (1 << k) - 1
+        nodes, max_color, d, c = self.nodes, self.max_color, self.d, self.c
+
+        def apply(pi: int, c: int, trail: list) -> bool:
+            """Color pi with c; forbid c at the last open position of each
+            instance pi leaves one short of monochromatic."""
+            assignment[pi] = c
+            for below, top in closes[pi]:
+                for q in below:
+                    if assignment[q] != c:
+                        break
+                else:
+                    if top < 0:
+                        return False  # a one-position instance is always mono
+                    old = forbid[top]
+                    trail.append((top, old))
+                    forbid[top] = old | 1 << c
+                    if forbid[top] == full:
+                        return False  # wiped out the last open color
+            return True
+
+        def undo(trail: list) -> None:
+            for pi, old in reversed(trail):
+                forbid[pi] = old
+
+        try:
+            while d < npos:
+                cap = min(k - 1, max_color + 1)
+                descended = False
+                while c <= cap:
+                    if not forbid[d] >> c & 1:
+                        nodes += 1
+                        if max_nodes is not None and nodes > max_nodes:
+                            return "nodes"
+                        if deadline is not None and nodes % 1024 == 0:
+                            if time.monotonic() > deadline:
+                                return "time"
+                        trail: list = []
+                        if apply(d, c, trail):
+                            stack.append((trail, c, max_color))
+                            max_color = max(max_color, c)
+                            descended = True
+                            break
+                        undo(trail)
+                    c += 1
+                if descended:
+                    d += 1
+                    c = 0
+                else:
+                    if not stack:
+                        return "forced"
+                    d -= 1
+                    trail, c, max_color = stack.pop()
+                    undo(trail)
+                    c += 1
+            return "avoidable"
+        finally:
+            self.nodes, self.max_color, self.d, self.c = nodes, max_color, d, c
+
+    def coloring(self, hi: int, assignment: list[int]) -> Coloring:
+        """The witness ``assignment`` on [lo..hi]; positions in no instance
+        take color 0."""
+        colors = [0] * (hi - self.lo + 1)
+        for v, c in zip(self.order, assignment):
+            colors[v - self.lo] = c
+        return Coloring._unchecked(self.lo, hi, self.k, tuple(colors))
 
 
 def find_avoiding_coloring(
@@ -639,17 +751,44 @@ def find_avoiding_coloring(
     hi: int,
     budget: SearchBudget | None = None,
 ) -> SearchOutcome:
-    """Exhaustive backtracking over the positions that occur in instances
-    (ascending), colors capped at one above the maximum used so far (global
-    color-permutation symmetry).  Since positions are colored in ascending
-    order, the one propagation is: once all of an instance's positions but
-    its largest have color c, c is forbidden at the largest.  A node fails
-    when that forbids every color at some position, or when it colors the
-    only position of an instance.  Positions in no instance take color 0 in
-    the witness.
-    The time budget covers the instance enumeration too; the node budget
-    counts DFS nodes only."""
-    return _search(cfg, k, lo, hi, budget or SearchBudget(), time.monotonic())[0]
+    """Exhaustive backtracking over the positions that occur in instances,
+    colors capped at one above the maximum used so far (global
+    color-permutation symmetry).  Positions are colored in the order of
+    their first appearance as the bound grows, and an instance's largest
+    value comes last, so the one propagation is: once all of an instance's
+    positions but its largest have color c, c is forbidden at the largest.
+    A node fails when that forbids every color at some position, or when it
+    colors the only position of an instance.  Positions in no instance take
+    color 0 in the witness.
+
+    The bound grows through [lo..lo - 1 + 16^i], i = 1, 2, ..., capped at
+    hi: each step files the instances whose largest value is new and
+    continues the DFS from the last witness, and a forced step answers for
+    [lo..hi].  The
+    time budget covers the instance enumeration too (its clock is read
+    every 1024 candidates there, before the first node, and every 1024
+    nodes); the node budget counts DFS nodes only, across every step."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not (1 <= lo <= hi):
+        raise ValueError("need 1 <= lo <= hi")
+    s = _Colorer(cfg, k, lo, budget or SearchBudget(), time.monotonic())
+    width = _AVOID_GROWTH
+    while s.bound < hi:
+        try:
+            batch = s.keys(min(hi, lo - 1 + width))
+        except _OutOfTime:
+            return s.stop("time")
+        s.file(batch)
+        if width == _AVOID_GROWTH and s.deadline is not None and time.monotonic() > s.deadline:
+            return s.stop("time")  # the deadline passed before the first node
+        width *= _AVOID_GROWTH
+        match s.run():
+            case "forced":
+                return Forced(s.nodes)
+            case "nodes" | "time" as reason:
+                return s.stop(reason)
+    return Avoidable(s.coloring(hi, s.assignment))
 
 
 def min_forced_n(
@@ -659,30 +798,46 @@ def min_forced_n(
     n_max: int,
     budget: SearchBudget | None = None,
 ) -> Boundary | Budget:
-    """Scan N upward from lo, enumerating and searching [lo..N] afresh for
-    each N; one clock and one DFS node count run across the whole scan."""
+    """Scan N upward from lo for the first forced [lo..N].  One DFS runs
+    across the scan: for each N it files the instances whose largest value
+    is N and continues from N - 1's witness, so [lo..N]'s answer is
+    ``find_avoiding_coloring``'s.  Instances are enumerated ahead, through
+    [lo..lo - 1 + 2^i], i = 1, 2, ..., capped at n_max.  One clock and one DFS node count
+    run across the whole scan, and both are checked before each N that
+    adds instances."""
     if k < 1:
         raise ValueError("need k >= 1")
     if not (1 <= lo <= n_max):
         raise ValueError("need 1 <= lo <= n_max")
     budget = budget or SearchBudget()
-    start = time.monotonic()
-    nodes = 0
-    last: tuple[int, Coloring] | None = None
-    for n in range(lo, n_max + 1):
-        if budget.max_nodes is not None and nodes >= budget.max_nodes:
-            return Budget(nodes, time.monotonic() - start, "nodes")
-        if budget.max_seconds is not None and time.monotonic() - start >= budget.max_seconds:
-            return Budget(nodes, time.monotonic() - start, "time")
-        out, nodes = _search(cfg, k, lo, n, budget, start, nodes)
-        match out:
-            case Avoidable(witness=w):
-                last = (n, w)
-            case Forced():
-                return Boundary(*(last or (None, None)), n)
-            case Budget():
-                return out
-    return Budget(nodes, time.monotonic() - start, "n_max")
+    s = _Colorer(cfg, k, lo, budget, time.monotonic())
+    max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
+    if max_nodes is not None and max_nodes <= 0:
+        return s.stop("nodes")
+    witness: list[int] = []  # the assignment before the last N that added instances
+    width = _SCAN_GROWTH
+    while s.bound < n_max:
+        try:
+            batch = s.keys(min(n_max, lo - 1 + width))
+        except _OutOfTime:
+            return s.stop("time")
+        width *= _SCAN_GROWTH
+        batch.sort(key=itemgetter(-1))
+        for n, bucket in groupby(batch, itemgetter(-1)):
+            if max_seconds is not None and time.monotonic() - s.start >= max_seconds:
+                return s.stop("time")
+            witness = s.assignment[:]
+            s.file(list(bucket))
+            match s.run():
+                case "forced":
+                    if n == lo:
+                        return Boundary(None, None, n)
+                    return Boundary(n - 1, s.coloring(n - 1, witness), n)
+                case "nodes" | "time" as reason:
+                    return s.stop(reason)
+            if max_nodes is not None and s.nodes >= max_nodes and n < n_max:
+                return s.stop("nodes")
+    return s.stop("n_max")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _search_oracle import schedule
 from ultraexp import cli, prsearch
 
 _spec = importlib.util.spec_from_file_location(
@@ -17,6 +18,11 @@ tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
 SCHUR = "config {x, y, x + y};"
+
+
+def schur_count(n: int) -> int:
+    """Schur instances on [1..n]: one per x, y >= 1 with x + y <= n."""
+    return n * (n - 1) // 2
 
 
 @pytest.fixture()
@@ -51,7 +57,7 @@ def test_cnf_export_counts_instances_and_clauses(capsys, schur, n, k):
     rc, counts = traced(capsys, ["pr-cnf", "--config", schur, "-k", str(k), "--hi", str(n)])
     assert rc == cli.EX_OK
     # Schur on [1..n]: one instance per x, y >= 1 with x + y <= n
-    assert counts["prsearch.instances"] == n * (n - 1) // 2
+    assert counts["prsearch.instances"] == schur_count(n)
     assert counts["prsearch.cnf.clauses"] == n * (1 + k * (k - 1) // 2) + k * n * (n - 1) // 2
 
 
@@ -61,7 +67,9 @@ def test_avoid_counts_instances_and_forced_nodes(capsys, schur):
     assert isinstance(want, prsearch.Forced)
     rc, counts = traced(capsys, ["pr-avoid", "--config", schur, "-k", "2", "--hi", "5"])
     assert rc == cli.EX_NEGATIVE
-    assert counts["prsearch.instances"] == 5 * 4 // 2
+    # each bound on the way to [1..5] is enumerated whole
+    assert schedule(1, 5, 16) == [5]
+    assert counts["prsearch.instances"] == sum(map(schur_count, schedule(1, 5, 16))) == 10
     assert counts["prsearch.avoid.forced_nodes"] == want.nodes_explored > 0
 
 
@@ -69,5 +77,7 @@ def test_min_scan_counts_instances_of_every_n(capsys, schur):
     rc, counts = traced(capsys, ["pr-min", "--config", schur, "-k", "2", "--max", "10"])
     assert rc == cli.EX_OK
     assert counts["prsearch.min_forced.n_scanned"] == 5
-    # the scan enumerates Schur on [1..N] afresh for N = 1..5
-    assert counts["prsearch.instances"] == 0 + 1 + 3 + 6 + 10 == 20
+    # the scan enumerates each bound whole, and stops inside the third,
+    # which holds N = 5
+    assert schedule(1, 10, 2) == [2, 4, 8, 10]
+    assert counts["prsearch.instances"] == sum(map(schur_count, schedule(1, 10, 2)[:3])) == 35

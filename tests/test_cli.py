@@ -19,6 +19,7 @@ from ultraexp import cli, expip, prsearch, rewrite
 from ultraexp.cli import (
     EX_DATA,
     EX_INCONCLUSIVE,
+    EX_IOERR,
     EX_NEGATIVE,
     EX_OK,
     EX_USAGE,
@@ -393,13 +394,15 @@ def test_data_errors(capsys, files):
 
 
 def test_budget_secs_covers_enumeration(capsys, files):
-    # enumerating Schur on [1..1200], or one N of the nine-distinct scan,
-    # takes longer than the budget ([1..600] takes about as long as 0.3 s)
+    # enumerating nine distinct values on [1..16] takes far longer than
+    # either budget, and both searches get there: 2 colors avoid every
+    # smaller bound (Schur on [1..1200] no longer does, as it is forced
+    # within [1..16])
     (files / "nine.cfg").write_text(
         "config {a, b, c, d, e, f, g, h, i} where distinct(a, b, c, d, e, f, g, h, i);\n"
     )
     for argv in (
-        ["pr-avoid", "--config", str(files / "schur.cfg"), "-k", "2", "--hi", "1200",
+        ["pr-avoid", "--config", str(files / "nine.cfg"), "-k", "2", "--hi", "16",
          "--budget-secs", "0.3"],
         ["pr-min", "--config", str(files / "nine.cfg"), "-k", "2", "--max", "16",
          "--budget-secs", "0.5"],
@@ -807,3 +810,21 @@ def test_out_of_memory_is_inconclusive():
     r = subprocess.run([sys.executable, "-m", "ultraexp", *argv], capture_output=True,
                        text=True, env=env, preexec_fn=cap_memory)
     assert (r.returncode, r.stdout, r.stderr) == (EX_INCONCLUSIVE, "", "ultraexp: out of memory\n")
+
+
+def test_closed_stdout_exits_74(tmp_path):
+    # the witness JSON of [2..65535] is far larger than a pipe holds, so the
+    # process is still writing when its reader leaves after 10 bytes
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("config {x, y, x ^ y} where x > 1, y > 1;\n")
+    argv = ["pr-avoid", "--config", str(cfg), "-k", "2", "--lo", "2", "--hi", "65535", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ultraexp.__file__).parents[1])}
+    p = subprocess.Popen([sys.executable, "-m", "ultraexp", *argv], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, env=env)
+    assert p.stdout.read(10) == b'{"coloring'
+    p.stdout.close()
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait(timeout=60) == EX_IOERR
+    assert err == "ultraexp: output closed: [Errno 32] Broken pipe\n"
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -31,6 +31,8 @@ from ultraexp.prsearch import (
 )
 
 from _dpll import parse_dimacs, solve
+from _search_oracle import schedule
+from test_enum_oracle import CASES
 
 SCHUR = "config {x, y, x + y};"
 VDW = "config {x, x + d, x + 2 * d};"
@@ -225,6 +227,19 @@ def test_enumerate_values_stay_exact():
         assert inst.term_values == (b["x"], b["y"], b["x"] ** b["y"])
 
 
+def test_enumerate_builds_dataclass_equal_instances():
+    # the slots are set directly; the result must be what the dataclass's
+    # own constructor builds
+    for text, lo, hi in CASES:
+        cfg = parse_config(text)
+        got = enumerate_instances(cfg, lo, hi)
+        want = [Instance(tuple(zip(cfg.variables, v)), t) for v, t in prsearch._instances(cfg, lo, hi, None)]
+        assert got == want, text
+        assert all(type(i) is Instance for i in got)
+        assert list(map(hash, got)) == list(map(hash, want))
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
 # ---------------------------------------------------------------------------
 # coloring checks
 
@@ -404,8 +419,9 @@ def test_budget_time(monkeypatch):
 
 
 def test_budget_time_covers_enumeration(monkeypatch):
-    # the clock passes the deadline at its first reading inside the
-    # enumeration of Schur on [1..600], 1024 candidates in
+    # the clock passes the deadline at its first reading after the start:
+    # Schur on the first bound, [1..16], has too few candidates for the
+    # enumeration to read it, so the check before the first node does
     reads = []
 
     def monotonic():
@@ -420,7 +436,7 @@ def test_budget_time_covers_enumeration(monkeypatch):
     assert time.monotonic() - start < 1.5
     assert isinstance(out, Budget) and out.reason == "time"
     assert out.nodes == 0  # stopped before the DFS began
-    assert len(reads) == 3  # the start, the enumeration's reading, the elapsed time
+    assert len(reads) == 3  # the start, the check before the first node, the elapsed time
 
 
 def test_deadline_passes_inside_the_second_function(monkeypatch):
@@ -473,9 +489,11 @@ def test_min_forced_budget_time_covers_enumeration():
 
 
 def test_min_forced_budget_cumulative():
-    out = min_forced_n(parse_config(SCHUR), 2, 1, 10, SearchBudget(max_nodes=8))
+    # the scan spends 2, 1 and 2 nodes on N = 2, 3, 4, so only the count
+    # across N passes 4
+    out = min_forced_n(parse_config(SCHUR), 2, 1, 10, SearchBudget(max_nodes=4))
     assert isinstance(out, Budget) and out.reason == "nodes"
-    assert out.nodes >= 8
+    assert out.nodes == 5
 
 
 def test_search_determinism():
@@ -524,6 +542,66 @@ def test_min_forced_matches_brute_force():
     )
     b = min_forced_n(cfg, 2, 1, 10)
     assert b.first_forced == first and b.last_avoidable == first - 1
+
+
+# ---------------------------------------------------------------------------
+# enumeration cost: instances yielded, against the bound schedule
+
+def _schur_count(n):
+    return n * (n - 1) // 2  # x, y >= 1 with x + y <= n
+
+
+def _exp_count(n):
+    """x, y > 1 with x ^ y <= n."""
+    count, y = 0, 2
+    while 2**y <= n:
+        x = 2
+        while x**y <= n:
+            count, x = count + 1, x + 1
+        y += 1
+    return count
+
+
+@pytest.fixture
+def yielded(monkeypatch):
+    """The items that the module-global ``_instances`` yields, counted."""
+    real, seen = prsearch._instances, [0]
+
+    def instances(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            seen[0] += 1
+            yield item
+
+    monkeypatch.setattr(prsearch, "_instances", instances)
+    return seen
+
+
+def test_min_scan_enumerates_only_past_its_boundary(yielded):
+    # forced at N = 5: the scan stops inside [1..8], and 10^6 costs nothing
+    out = min_forced_n(parse_config(SCHUR), 2, 1, 10**6)
+    assert isinstance(out, Boundary) and out.first_forced == 5
+    bounds = schedule(1, 10**6, 2)
+    assert bounds[:3] == [2, 4, 8]
+    assert yielded[0] == sum(map(_schur_count, bounds[:3])) == 35
+
+
+def test_avoid_enumerates_only_to_the_first_forced_bound(yielded):
+    # [1..16] is forced already, against 179,700 instances in [1..600]
+    out = find_avoiding_coloring(parse_config(SCHUR), 2, 1, 600)
+    assert out == Forced(5)
+    assert schedule(1, 600, 16) == [16, 256, 600]
+    assert yielded[0] == _schur_count(16) == 120
+    assert _schur_count(600) == 179_700
+
+
+def test_min_scan_enumerates_each_bound_once(yielded):
+    # every [2..N] is avoidable: the scan enumerates each bound of its
+    # schedule once, where enumerating every [2..N] would yield 2,705,996
+    out = min_forced_n(parse_config(EXPCFG), 2, 2, 20_000)
+    assert isinstance(out, Budget) and out.reason == "n_max"
+    bounds = schedule(2, 20_000, 2)
+    assert len(bounds) == 15 and bounds[-2:] == [16_385, 20_000]
+    assert yielded[0] == sum(map(_exp_count, bounds)) == 848
 
 
 # ---------------------------------------------------------------------------
